@@ -164,7 +164,7 @@ mod tests {
         let pruned = reference_with(
             &points,
             &euclidean_comp(),
-            &FilterAggregator::new(move |d: &f64| *d <= eps),
+            FilterAggregator::new(move |d: &f64| *d <= eps),
         );
         assert!(pruned.total_results() < full.total_results());
         assert_eq!(dbscan(&full, eps, 4), dbscan(&pruned, eps, 4));

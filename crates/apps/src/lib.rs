@@ -36,21 +36,29 @@ pub(crate) mod testutil {
     //! Shared sequential-reference setup for the app test suites: every
     //! suite compares against the same symmetric ground-truth run, so the
     //! aggregator plumbing lives here and each call site stays one line.
-    use pmr_core::runner::sequential::run_sequential;
-    use pmr_core::runner::{Aggregator, CompFn, ConcatSort, PairwiseOutput, Symmetry};
+    use pmr_core::runner::{Aggregator, CompFn, ConcatSort, PairwiseJob, PairwiseOutput};
+    use pmr_mapreduce::Wire;
 
     /// Symmetric sequential reference with the default concat-sort
     /// aggregator.
-    pub fn reference<T, R: Clone>(data: &[T], comp: &CompFn<T, R>) -> PairwiseOutput<R> {
-        reference_with(data, comp, &ConcatSort)
+    pub fn reference<T, R>(data: &[T], comp: &CompFn<T, R>) -> PairwiseOutput<R>
+    where
+        T: Wire + Clone + Sync,
+        R: Wire + Clone + Sync,
+    {
+        reference_with(data, comp, ConcatSort)
     }
 
     /// [`reference`] under a custom aggregator (pruned / top-k runs).
-    pub fn reference_with<T, R: Clone>(
+    pub fn reference_with<T, R>(
         data: &[T],
         comp: &CompFn<T, R>,
-        aggregator: &dyn Aggregator<R>,
-    ) -> PairwiseOutput<R> {
-        run_sequential(data, comp, Symmetry::Symmetric, aggregator)
+        aggregator: impl Aggregator<R> + 'static,
+    ) -> PairwiseOutput<R>
+    where
+        T: Wire + Clone + Sync,
+        R: Wire + Clone + Sync,
+    {
+        PairwiseJob::new(data, comp.clone()).aggregator(aggregator).run().unwrap().output
     }
 }

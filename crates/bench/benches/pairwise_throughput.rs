@@ -10,13 +10,27 @@ use pmr_apps::generate::{gene_expression, opaque_elements};
 use pmr_apps::mutualinfo::mi_comp;
 use pmr_apps::DenseVector;
 use pmr_cluster::{Cluster, ClusterConfig};
-use pmr_core::runner::local::run_local;
-use pmr_core::runner::{comp_fn, Backend, CompFn, ConcatSort, PairwiseJob, Symmetry};
+use pmr_core::runner::{comp_fn, Backend, CompFn, ElementStore, PairwiseJob, PairwiseOutput};
 use pmr_core::scheme::{BlockScheme, BroadcastScheme, DesignScheme, DistributionScheme};
 use pmr_obs::Telemetry;
 
 fn cheap_comp() -> CompFn<DenseVector, f64> {
     comp_fn(|a: &DenseVector, b: &DenseVector| a.0[0] - b.0[0])
+}
+
+/// One local-backend run over an already-ingested store.
+fn run_local(
+    store: &Arc<ElementStore<DenseVector>>,
+    scheme: &Arc<dyn DistributionScheme>,
+    comp: CompFn<DenseVector, f64>,
+    threads: usize,
+) -> PairwiseOutput<f64> {
+    PairwiseJob::from_store(Arc::clone(store), comp)
+        .scheme_arc(Arc::clone(scheme))
+        .backend(Backend::Local { threads })
+        .run()
+        .expect("local run")
+        .output
 }
 
 fn bench_scheme_comparison(c: &mut Criterion) {
@@ -26,23 +40,15 @@ fn bench_scheme_comparison(c: &mut Criterion) {
     let mut g = c.benchmark_group("local/scheme_comparison_cheap_comp");
     g.throughput(Throughput::Elements(pairs));
     g.sample_size(20);
-    let schemes: Vec<(&str, Box<dyn DistributionScheme>)> = vec![
-        ("broadcast", Box::new(BroadcastScheme::new(v, 16))),
-        ("block", Box::new(BlockScheme::new(v, 8))),
-        ("design", Box::new(DesignScheme::new(v))),
+    let store = ElementStore::from_slice(&data);
+    let schemes: Vec<(&str, Arc<dyn DistributionScheme>)> = vec![
+        ("broadcast", Arc::new(BroadcastScheme::new(v, 16))),
+        ("block", Arc::new(BlockScheme::new(v, 8))),
+        ("design", Arc::new(DesignScheme::new(v))),
     ];
     for (name, scheme) in &schemes {
         g.bench_function(BenchmarkId::from_parameter(*name), |b| {
-            b.iter(|| {
-                black_box(run_local(
-                    &data,
-                    scheme.as_ref(),
-                    &cheap_comp(),
-                    Symmetry::Symmetric,
-                    &ConcatSort,
-                    4,
-                ))
-            })
+            b.iter(|| black_box(run_local(&store, scheme, cheap_comp(), 4)))
         });
     }
     g.finish();
@@ -57,23 +63,15 @@ fn bench_expensive_comp(c: &mut Criterion) {
     let mut g = c.benchmark_group("local/scheme_comparison_expensive_comp");
     g.throughput(Throughput::Elements(pairs));
     g.sample_size(10);
-    let schemes: Vec<(&str, Box<dyn DistributionScheme>)> = vec![
-        ("broadcast", Box::new(BroadcastScheme::new(v, 16))),
-        ("block", Box::new(BlockScheme::new(v, 8))),
-        ("design", Box::new(DesignScheme::new(v))),
+    let store = ElementStore::from_slice(&data);
+    let schemes: Vec<(&str, Arc<dyn DistributionScheme>)> = vec![
+        ("broadcast", Arc::new(BroadcastScheme::new(v, 16))),
+        ("block", Arc::new(BlockScheme::new(v, 8))),
+        ("design", Arc::new(DesignScheme::new(v))),
     ];
     for (name, scheme) in &schemes {
         g.bench_function(BenchmarkId::from_parameter(*name), |b| {
-            b.iter(|| {
-                black_box(run_local(
-                    &data,
-                    scheme.as_ref(),
-                    &mi_comp(6),
-                    Symmetry::Symmetric,
-                    &ConcatSort,
-                    4,
-                ))
-            })
+            b.iter(|| black_box(run_local(&store, scheme, mi_comp(6), 4)))
         });
     }
     g.finish();
@@ -82,21 +80,13 @@ fn bench_expensive_comp(c: &mut Criterion) {
 fn bench_worker_scaling(c: &mut Criterion) {
     let v = 128u64;
     let data = gene_expression(v as usize, 200, 8, 0.3, 9);
-    let scheme = BlockScheme::new(v, 8);
+    let store = ElementStore::from_slice(&data);
+    let scheme: Arc<dyn DistributionScheme> = Arc::new(BlockScheme::new(v, 8));
     let mut g = c.benchmark_group("local/worker_scaling_mi");
     g.sample_size(10);
     for &threads in &[1usize, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &threads| {
-            b.iter(|| {
-                black_box(run_local(
-                    &data,
-                    &scheme,
-                    &mi_comp(6),
-                    Symmetry::Symmetric,
-                    &ConcatSort,
-                    threads,
-                ))
-            })
+            b.iter(|| black_box(run_local(&store, &scheme, mi_comp(6), threads)))
         });
     }
     g.finish();

@@ -1,12 +1,10 @@
-//! B7 — telemetry overhead: the same pairwise job with the sink disabled
-//! (the default), enabled, and absent entirely (the pre-observability
-//! baseline via `run_local`). The acceptance bar is that the disabled
-//! sink costs < 2% against the baseline — every hot-path call must
-//! reduce to a `None` check.
+//! B7 — telemetry overhead: the same pairwise job over one ingested store
+//! with the sink disabled (the default) and enabled. Disabled, every
+//! hot-path call must reduce to a `None` check; the sink primitives below
+//! pin that per-call cost down.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pmr_core::runner::local::run_local;
-use pmr_core::runner::{comp_fn, Backend, CompFn, ConcatSort, PairwiseJob, Symmetry};
+use pmr_core::runner::{comp_fn, Backend, CompFn, ElementStore, PairwiseJob};
 use pmr_core::scheme::BlockScheme;
 use pmr_obs::Telemetry;
 
@@ -20,6 +18,7 @@ fn comp() -> CompFn<u64, u64> {
 fn bench_local_overhead(c: &mut Criterion) {
     let v = 512u64;
     let data: Vec<u64> = (0..v).map(|i| i * 0x1234_5678 + 7).collect();
+    let store = ElementStore::from_slice(&data);
     let scheme = BlockScheme::new(v, 8);
     let pairs = v * (v - 1) / 2;
     let mut g = c.benchmark_group("obs/local_telemetry_overhead");
@@ -28,18 +27,13 @@ fn bench_local_overhead(c: &mut Criterion) {
     // Single-threaded: telemetry cost is per-call and independent of the
     // worker count, and one thread keeps scheduler jitter out of a
     // comparison that must resolve a <2% difference.
-    g.bench_function(BenchmarkId::from_parameter("baseline_run_local"), |b| {
-        b.iter(|| {
-            black_box(run_local(&data, &scheme, &comp(), Symmetry::Symmetric, &ConcatSort, 1))
-        })
-    });
     for (name, telemetry) in
         [("disabled", Telemetry::disabled()), ("enabled", Telemetry::enabled())]
     {
         g.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
                 black_box(
-                    PairwiseJob::new(&data, comp())
+                    PairwiseJob::from_store(store.clone(), comp())
                         .scheme(scheme.clone())
                         .backend(Backend::Local { threads: 1 })
                         .telemetry(telemetry.clone())

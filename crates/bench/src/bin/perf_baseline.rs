@@ -34,12 +34,12 @@ use pmr_apps::kernels::{DenseSqDistKernel, SparseDotKernel};
 use pmr_apps::prune::PrefixFilter;
 use pmr_apps::{DenseVector, SparseVector};
 use pmr_cluster::{Cluster, ClusterConfig, SocketMode, Telemetry, TransportKind};
-use pmr_core::runner::local::{run_local, run_local_kernel};
 use pmr_core::runner::{
-    aggregate_all, comp_fn, Aggregator, Backend, BatchComp, CompFn, ConcatSort, FilterAggregator,
-    FnAggregator, PairFilter, PairwiseJob, PairwiseOutput, Symmetry,
+    comp_fn, Aggregator, Backend, BatchComp, CompFn, ElementStore, FilterAggregator, PairFilter,
+    PairwiseJob, PairwiseOutput,
 };
 use pmr_core::scheme::{BlockScheme, DistributionScheme, QuorumScheme};
+use pmr_mapreduce::Wire;
 
 const BENCH_FILE: &str = "BENCH_pairwise.json";
 
@@ -73,69 +73,42 @@ fn sq_dist(a: &DenseVector, b: &DenseVector) -> f64 {
 
 struct Workload<T> {
     data: Vec<T>,
-    scheme: Box<dyn DistributionScheme>,
+    scheme: Arc<dyn DistributionScheme>,
     comp: CompFn<T, f64>,
     threads: usize,
     iters: usize,
 }
 
-/// Runs the workload `iters` times and returns (pairs/sec of the best
-/// iteration, output of the last run for identity checks).
-fn measure<T: Send + Sync>(w: &Workload<T>) -> (f64, PairwiseOutput<f64>) {
-    let v = w.data.len() as u64;
-    let pairs = v * (v - 1) / 2;
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..w.iters {
-        let start = Instant::now();
-        let (o, _stats) = run_local(
-            &w.data,
-            w.scheme.as_ref(),
-            &w.comp,
-            Symmetry::Symmetric,
-            &ConcatSort,
-            w.threads,
-        );
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some(o);
-    }
-    (pairs as f64 / best, out.unwrap())
-}
-
-/// [`measure`] through the batch-kernel path ([`run_local_kernel`]) under
-/// a caller-chosen aggregator — `&ConcatSort` takes the fused per-worker
-/// accumulator path, a [`FnAggregator`] control hides decomposability and
-/// forces the unfused flat-emit path.
-fn measure_kernel<T: Send + Sync>(
+/// Runs the workload `iters` times on local threads and returns
+/// (pairs/sec of the best iteration, output of the last run for identity
+/// checks). `kernel` replaces the scalar comp when set; `fuse: false` is
+/// the unfused control — ConcatSort's collecting fold per worker, then
+/// `aggregate_all` — against the fused per-worker accumulator path.
+fn measure<T: Wire + Clone + Sync>(
     w: &Workload<T>,
-    kernel: &dyn BatchComp<T, f64>,
-    aggregator: &dyn Aggregator<f64>,
+    kernel: Option<Arc<dyn BatchComp<T, f64>>>,
+    fuse: bool,
 ) -> (f64, PairwiseOutput<f64>) {
     let v = w.data.len() as u64;
     let pairs = v * (v - 1) / 2;
+    // Ingest once, outside the timed runs.
+    let store = ElementStore::from_slice(&w.data);
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..w.iters {
+        let mut job = PairwiseJob::from_store(Arc::clone(&store), w.comp.clone())
+            .scheme_arc(Arc::clone(&w.scheme))
+            .backend(Backend::Local { threads: w.threads })
+            .fuse(fuse);
+        if let Some(kernel) = &kernel {
+            job = job.kernel_arc(Arc::clone(kernel));
+        }
         let start = Instant::now();
-        let (o, _stats) = run_local_kernel(
-            &w.data,
-            w.scheme.as_ref(),
-            kernel,
-            Symmetry::Symmetric,
-            aggregator,
-            w.threads,
-        );
+        let run = job.run().expect("local run");
         best = best.min(start.elapsed().as_secs_f64());
-        out = Some(o);
+        out = Some(run.output);
     }
     (pairs as f64 / best, out.unwrap())
-}
-
-/// The unfused control: aggregates with the exact `ConcatSort` logic but
-/// through a closure adapter, which does not advertise decomposability,
-/// so the runner takes the unfused path.
-fn unfused_concat_sort() -> impl Aggregator<f64> {
-    FnAggregator::new(|id, partials| aggregate_all(&ConcatSort, id, partials))
 }
 
 /// Asserts two outputs are byte-identical: same elements, same neighbor
@@ -156,7 +129,7 @@ fn dense_workload(smoke: bool) -> Workload<DenseVector> {
     let (v, iters) = if smoke { (256, 1) } else { (2048, 5) };
     Workload {
         data: gene_expression(v, 64, 8, 0.3, 42),
-        scheme: Box::new(BlockScheme::new(v as u64, if smoke { 4 } else { 16 })),
+        scheme: Arc::new(BlockScheme::new(v as u64, if smoke { 4 } else { 16 })),
         comp: comp_fn(sq_dist),
         threads: 8,
         iters,
@@ -170,7 +143,7 @@ fn dense_quorum_workload(smoke: bool) -> Workload<DenseVector> {
     let (v, iters) = if smoke { (256, 1) } else { (2048, 5) };
     Workload {
         data: gene_expression(v, 64, 8, 0.3, 42),
-        scheme: Box::new(QuorumScheme::new(v as u64)),
+        scheme: Arc::new(QuorumScheme::new(v as u64)),
         comp: comp_fn(sq_dist),
         threads: 8,
         iters,
@@ -181,7 +154,7 @@ fn sparse_workload(smoke: bool) -> Workload<SparseVector> {
     let (v, iters) = if smoke { (256, 1) } else { (1024, 5) };
     Workload {
         data: zipf_documents(v, 4096, 64, 1.1, 7),
-        scheme: Box::new(BlockScheme::new(v as u64, 8)),
+        scheme: Arc::new(BlockScheme::new(v as u64, 8)),
         comp: comp_fn(|a: &SparseVector, b: &SparseVector| a.dot(b)),
         threads: 8,
         iters,
@@ -520,12 +493,12 @@ fn main() {
         .map(|i| args.get(i + 1).expect("--record needs a label").clone());
 
     let dense = dense_workload(smoke);
-    let (dense_scalar_pps, dense_out) = measure(&dense);
-    let dense_kern = DenseSqDistKernel::for_dataset(&dense.data).expect("uniform dims");
-    let (dense_pps, dense_kout) = measure_kernel(&dense, &dense_kern, &ConcatSort);
+    let (dense_scalar_pps, dense_out) = measure(&dense, None, true);
+    let dense_kern: Arc<dyn BatchComp<DenseVector, f64>> =
+        Arc::new(DenseSqDistKernel::for_dataset(&dense.data).expect("uniform dims"));
+    let (dense_pps, dense_kout) = measure(&dense, Some(Arc::clone(&dense_kern)), true);
     assert_bit_identical(&dense_out, &dense_kout, "dense scalar vs kernel");
-    let (dense_unfused_pps, dense_uout) =
-        measure_kernel(&dense, &dense_kern, &unfused_concat_sort());
+    let (dense_unfused_pps, dense_uout) = measure(&dense, Some(Arc::clone(&dense_kern)), false);
     assert_bit_identical(&dense_kout, &dense_uout, "dense fused vs unfused");
     println!(
         "dense  (v={}, dim=64, {} threads): {:>12.0} pairs/s scalar, {:>12.0} pairs/s kernel \
@@ -538,11 +511,11 @@ fn main() {
     );
 
     let sparse = sparse_workload(smoke);
-    let (sparse_scalar_pps, sparse_out) = measure(&sparse);
-    let (sparse_pps, sparse_kout) = measure_kernel(&sparse, &SparseDotKernel, &ConcatSort);
+    let (sparse_scalar_pps, sparse_out) = measure(&sparse, None, true);
+    let (sparse_pps, sparse_kout) = measure(&sparse, Some(Arc::new(SparseDotKernel)), true);
     assert_bit_identical(&sparse_out, &sparse_kout, "sparse scalar vs kernel");
     let (sparse_unfused_pps, sparse_uout) =
-        measure_kernel(&sparse, &SparseDotKernel, &unfused_concat_sort());
+        measure(&sparse, Some(Arc::new(SparseDotKernel)), false);
     assert_bit_identical(&sparse_kout, &sparse_uout, "sparse fused vs unfused");
     println!(
         "sparse (v={}, nnz≈64, {} threads): {:>12.0} pairs/s scalar, {:>12.0} pairs/s kernel \
@@ -558,9 +531,9 @@ fn main() {
     // same kernel — the aggregated output must be bit-identical to the
     // block-scheme run even though the task decomposition is disjoint.
     let quorum = dense_quorum_workload(smoke);
-    let (quorum_scalar_pps, quorum_out) = measure(&quorum);
+    let (quorum_scalar_pps, quorum_out) = measure(&quorum, None, true);
     assert_bit_identical(&dense_out, &quorum_out, "dense block vs quorum scalar");
-    let (quorum_pps, quorum_kout) = measure_kernel(&quorum, &dense_kern, &ConcatSort);
+    let (quorum_pps, quorum_kout) = measure(&quorum, Some(dense_kern), true);
     assert_bit_identical(&quorum_out, &quorum_kout, "quorum scalar vs kernel");
     println!(
         "quorum (v={}, dim=64, {} threads): {:>12.0} pairs/s scalar, {:>12.0} pairs/s kernel",

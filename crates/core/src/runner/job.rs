@@ -18,7 +18,6 @@
 //! once into an [`ElementStore`] shared by all backends; pass an existing
 //! store with [`PairwiseJob::from_store`] to skip the ingest copy.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use pmr_cluster::Cluster;
@@ -27,14 +26,11 @@ use pmr_obs::{RunReport, Telemetry};
 
 use crate::runner::filter::PairFilter;
 use crate::runner::kernel::{BatchComp, ScalarComp};
-use crate::runner::local::{run_local_impl, LocalRunStats};
-use crate::runner::mr::{
-    run_mr_broadcast_impl, run_mr_impl, run_mr_rounds_impl, MrPairwiseOptions, MrRunReport,
-    EVALUATIONS_COUNTER,
-};
-use crate::runner::sequential::run_sequential_impl;
+use crate::runner::local::{run_local, LocalRunStats};
+use crate::runner::mr::{run_mr, MrPairwiseOptions, MrRunReport, EVALUATIONS_COUNTER};
+use crate::runner::sequential::run_sequential;
 use crate::runner::store::ElementStore;
-use crate::runner::{aggregate_all, Aggregator, CompFn, ConcatSort, PairwiseOutput, Symmetry};
+use crate::runner::{merge_rounds, Aggregator, CompFn, ConcatSort, PairwiseOutput, Symmetry};
 use crate::scheme::{BroadcastScheme, DistributionScheme};
 
 /// Where a [`PairwiseJob`] executes.
@@ -66,7 +62,7 @@ impl Backend<'_> {
 }
 
 /// How elements are distributed into tasks.
-enum Plan {
+pub(crate) enum Plan {
     /// No scheme chosen (valid only for [`Backend::Sequential`]).
     None,
     /// A single distribution scheme (two-job pipeline on MR).
@@ -76,6 +72,18 @@ enum Plan {
     Broadcast(BroadcastScheme),
     /// Hierarchical rounds executed sequentially (paper §7).
     Rounds(Vec<Arc<dyn DistributionScheme>>),
+}
+
+impl Plan {
+    /// The schemes the plan runs, in order: one, or one per round.
+    pub(crate) fn schemes(&self) -> Vec<&dyn DistributionScheme> {
+        match self {
+            Plan::None => Vec::new(),
+            Plan::Scheme(s) => vec![s.as_ref()],
+            Plan::Broadcast(s) => vec![s],
+            Plan::Rounds(rounds) => rounds.iter().map(|r| r.as_ref()).collect(),
+        }
+    }
 }
 
 /// A completed [`PairwiseJob`]: output plus observability artifacts.
@@ -301,26 +309,40 @@ where
         }
         match &plan {
             Plan::None => {}
-            Plan::Scheme(s) => {
-                effective.set_meta("scheme", s.name());
-                effective.set_meta("scheme.v", s.v());
-                effective.set_meta("scheme.tasks", s.num_tasks());
-            }
-            Plan::Broadcast(s) => {
-                effective.set_meta("scheme", s.name());
-                effective.set_meta("scheme.v", s.v());
-                effective.set_meta("scheme.tasks", s.num_tasks());
-            }
             Plan::Rounds(rounds) => {
                 effective.set_meta("scheme", "hierarchical-rounds");
                 effective.set_meta("scheme.rounds", rounds.len());
             }
+            Plan::Scheme(_) | Plan::Broadcast(_) => {
+                let s = plan.schemes()[0];
+                effective.set_meta("scheme", s.name());
+                effective.set_meta("scheme.v", s.v());
+                effective.set_meta("scheme.tasks", s.num_tasks());
+                // On MR, the scheme's closed-form predictions (Table 1) for
+                // the skew diagnoser to compare measured working sets and
+                // evaluation counts against.
+                if let (Backend::Mr(cluster), true) = (backend, effective.is_enabled()) {
+                    let analytic = s.metrics(cluster.num_nodes() as u64);
+                    effective.set_meta("scheme.analytic.working_set", analytic.working_set_size);
+                    effective.set_meta(
+                        "scheme.analytic.evals_per_task",
+                        format!("{:.1}", analytic.evaluations_per_task),
+                    );
+                }
+            }
         }
 
-        let mut run = match (backend, plan) {
+        let v = store.len() as u64;
+        let local = |output, stats| PairwiseRun {
+            output,
+            report: RunReport::default(),
+            mr: Vec::new(),
+            local: Some(stats),
+        };
+        let mut run = match (backend, &plan) {
             (Backend::Sequential, _) => {
                 let phase = effective.job_phase("sequential", "evaluate");
-                let (output, evaluations, pruning) = run_sequential_impl(
+                let (output, stats) = run_sequential(
                     store.elements(),
                     kernel.as_ref(),
                     symmetry,
@@ -328,143 +350,63 @@ where
                     filter.as_deref(),
                 );
                 drop(phase);
-                let v = store.len() as u64;
-                PairwiseRun {
-                    output,
-                    report: RunReport::default(),
-                    mr: Vec::new(),
-                    local: Some(LocalRunStats {
-                        tasks: 1,
-                        evaluations,
-                        max_working_set: v,
-                        pruning,
-                    }),
-                }
+                local(output, stats)
             }
-            (Backend::Local { .. }, Plan::None) => {
-                return Err(MrError::InvalidJob(
-                    "the local backend needs a scheme (scheme/broadcast/rounds)".into(),
-                ));
+            (_, Plan::None) => {
+                return Err(MrError::InvalidJob(format!(
+                    "the {} backend needs a scheme (scheme/broadcast/rounds)",
+                    backend.name()
+                )));
             }
-            (Backend::Local { threads }, Plan::Scheme(scheme)) => {
-                let (output, stats) = run_local_impl(
-                    store.elements(),
-                    scheme.as_ref(),
-                    kernel.as_ref(),
-                    symmetry,
-                    aggregator.as_ref(),
-                    threads,
-                    options.fuse,
-                    filter.as_deref(),
-                    &effective,
-                );
-                PairwiseRun {
-                    output,
-                    report: RunReport::default(),
-                    mr: Vec::new(),
-                    local: Some(stats),
-                }
-            }
-            (Backend::Local { threads }, Plan::Broadcast(scheme)) => {
-                let (output, stats) = run_local_impl(
-                    store.elements(),
-                    &scheme,
-                    kernel.as_ref(),
-                    symmetry,
-                    aggregator.as_ref(),
-                    threads,
-                    options.fuse,
-                    filter.as_deref(),
-                    &effective,
-                );
-                PairwiseRun {
-                    output,
-                    report: RunReport::default(),
-                    mr: Vec::new(),
-                    local: Some(stats),
-                }
-            }
-            (Backend::Local { threads }, Plan::Rounds(rounds)) => {
-                let mut merged: HashMap<u64, Vec<(u64, R)>> =
-                    (0..store.len() as u64).map(|id| (id, Vec::new())).collect();
-                let mut stats = LocalRunStats::default();
-                for round in rounds {
-                    let (out, s) = run_local_impl(
+            (Backend::Local { threads }, _) => {
+                let run_one = |scheme: &dyn DistributionScheme, aggregator: &dyn Aggregator<R>| {
+                    run_local(
                         store.elements(),
-                        round.as_ref(),
+                        scheme,
                         kernel.as_ref(),
                         symmetry,
-                        &ConcatSort,
+                        aggregator,
                         threads,
                         options.fuse,
                         filter.as_deref(),
                         &effective,
-                    );
-                    for (id, mut partial) in out.per_element {
-                        merged.entry(id).or_default().append(&mut partial);
+                    )
+                };
+                match &plan {
+                    Plan::Rounds(rounds) => {
+                        // Each round is collected with ConcatSort, and the
+                        // caller's aggregator runs once at the end (§7).
+                        let mut stats = LocalRunStats::default();
+                        let outputs = rounds
+                            .iter()
+                            .map(|round| {
+                                let (out, s) = run_one(round.as_ref(), &ConcatSort);
+                                stats.absorb(s);
+                                out
+                            })
+                            .collect();
+                        local(merge_rounds(v, outputs, aggregator.as_ref(), threads), stats)
                     }
-                    stats.tasks += s.tasks;
-                    stats.evaluations += s.evaluations;
-                    stats.max_working_set = stats.max_working_set.max(s.max_working_set);
-                    if let Some(p) = s.pruning {
-                        stats.pruning.get_or_insert_with(Default::default).absorb(p);
+                    _ => {
+                        let (output, stats) = run_one(plan.schemes()[0], aggregator.as_ref());
+                        local(output, stats)
                     }
                 }
-                let mut per_element: Vec<(u64, Vec<(u64, R)>)> = merged
-                    .into_iter()
-                    .map(|(id, partials)| (id, aggregate_all(aggregator.as_ref(), id, partials)))
-                    .collect();
-                per_element.sort_by_key(|(id, _)| *id);
-                PairwiseRun {
-                    output: PairwiseOutput { per_element },
-                    report: RunReport::default(),
-                    mr: Vec::new(),
-                    local: Some(stats),
-                }
             }
-            (Backend::Mr(_), Plan::None) => {
-                return Err(MrError::InvalidJob(
-                    "the MR backend needs a scheme (scheme/broadcast/rounds)".into(),
-                ));
-            }
-            (Backend::Mr(cluster), Plan::Scheme(scheme)) => {
-                let (output, report) = run_mr_impl(
+            (Backend::Mr(cluster), _) => {
+                let (output, mr) = run_mr(
                     cluster,
-                    scheme,
+                    &plan,
                     &store,
                     kernel,
                     symmetry,
                     aggregator,
                     filter.clone(),
-                    options,
+                    &options,
+                    &effective,
                 )?;
-                PairwiseRun { output, report: RunReport::default(), mr: vec![report], local: None }
-            }
-            (Backend::Mr(cluster), Plan::Broadcast(scheme)) => {
-                let (output, report) = run_mr_broadcast_impl(
-                    cluster,
-                    &scheme,
-                    &store,
-                    kernel,
-                    symmetry,
-                    aggregator,
-                    filter.clone(),
-                    options,
-                )?;
-                PairwiseRun { output, report: RunReport::default(), mr: vec![report], local: None }
-            }
-            (Backend::Mr(cluster), Plan::Rounds(rounds)) => {
-                let (output, reports) = run_mr_rounds_impl(
-                    cluster,
-                    rounds,
-                    &store,
-                    kernel,
-                    symmetry,
-                    aggregator,
-                    filter.clone(),
-                    options,
-                )?;
-                PairwiseRun { output, report: RunReport::default(), mr: reports, local: None }
+                effective.set_meta("mr.fused", mr.iter().any(|r| r.fused));
+                PairwiseRun { output, report: RunReport::default(), mr, local: None }
             }
         };
 
@@ -594,6 +536,46 @@ mod tests {
         assert_eq!(run.report.counter(EVALUATIONS_COUNTER), Some(18 * 17 / 2));
         assert!(run.report.meta.iter().any(|(k, v)| k == "backend" && v == "local"));
         assert!(run.report.meta.iter().any(|(k, v)| k == "scheme" && v == "block"));
+    }
+
+    fn meta<'r>(report: &'r RunReport, key: &str) -> Option<&'r str> {
+        report.meta.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// The builder is the only writer of run meta: MR and Local rounds
+    /// both report the rounds plan (not the last round's scheme), and an
+    /// MR run whose telemetry comes from the builder alone still carries
+    /// `mr.fused` and the analytic predictions.
+    #[test]
+    fn run_meta_is_the_builders_on_every_backend() {
+        use crate::hierarchical::TwoLevelBlock;
+        let data = payloads(16);
+        let rounds = || -> Vec<Arc<dyn DistributionScheme>> {
+            TwoLevelBlock::new(16, 2, 2).rounds().into_iter().map(Arc::from).collect()
+        };
+        let cluster = Cluster::new(ClusterConfig::with_nodes(2));
+        for backend in [Backend::Mr(&cluster), Backend::Local { threads: 2 }] {
+            let run = PairwiseJob::new(&data, comp())
+                .rounds(rounds())
+                .backend(backend)
+                .telemetry(Telemetry::enabled())
+                .run()
+                .unwrap();
+            assert_eq!(meta(&run.report, "scheme"), Some("hierarchical-rounds"));
+            assert_eq!(meta(&run.report, "scheme.rounds"), Some("3"));
+            assert_eq!(meta(&run.report, "scheme.v"), None);
+        }
+        for fuse in [true, false] {
+            let run = PairwiseJob::new(&data, comp())
+                .scheme(BlockScheme::new(16, 4))
+                .backend(Backend::Mr(&cluster))
+                .telemetry(Telemetry::enabled())
+                .fuse(fuse)
+                .run()
+                .unwrap();
+            assert_eq!(meta(&run.report, "mr.fused"), Some(if fuse { "true" } else { "false" }));
+            assert!(meta(&run.report, "scheme.analytic.working_set").is_some());
+        }
     }
 
     #[test]

@@ -14,12 +14,22 @@
 //! list of `(other element, result)` — the storage organization of the
 //! paper's Figure 2.
 //!
-//! The [`job`] module's [`PairwiseJob`] builder is the unified entry point
-//! over all three. The dataset is ingested once into an id-indexed
+//! The [`job`] module's [`PairwiseJob`] builder is the entry point over
+//! all three. The dataset is ingested once into an id-indexed
 //! [`store::ElementStore`] shared by every backend: working sets carry
 //! element ids, tasks resolve ids through a node-local store handle, and
 //! replicated payload bytes are *charged* to the paper's cost model
 //! without being *moved*.
+//!
+//! Every backend runs the paper's one abstract algorithm on one path:
+//! each task's pairs go through the single evaluation function in
+//! [`kernel`] (optional [`PairFilter`], tiled [`BatchComp`] kernel, a
+//! sink folding results into per-element [`Accumulator`]s), and an
+//! element's copies — per worker, per reduce task or per round — become
+//! its row through one dense, id-indexed merge-then-finish helper. Fused
+//! runs fold and merge with the caller's [`DecomposableAggregator`];
+//! unfused runs collect with [`ConcatSort`]'s fold, merge by
+//! concatenation, then [`aggregate_all`].
 
 pub mod filter;
 pub mod job;
@@ -120,14 +130,11 @@ impl<R> Accumulator<R> {
 /// evaluated, [`finish`](Aggregator::finish) to produce the element's
 /// final list.
 ///
-/// New implementations override `fold`/`finish` (and implement
-/// [`DecomposableAggregator`] when the fold is order-insensitive, which
-/// lets every backend fuse aggregation into pair evaluation). Legacy
-/// implementations that only override the deprecated one-shot
-/// [`aggregate`](Aggregator::aggregate) keep working unchanged through the
-/// provided defaults. Override at least one of `finish`/`aggregate` — the
-/// defaults are each other's shim and recurse forever otherwise. For
-/// closures, see [`FnAggregator`].
+/// Every method has a default: `fold` collects, `finish` returns the
+/// folded partials as they are. Implementations override what they need
+/// (and implement [`DecomposableAggregator`] when the fold is
+/// order-insensitive, which lets every backend fuse aggregation into pair
+/// evaluation). For one-shot closures, see [`FnAggregator`].
 pub trait Aggregator<R>: Send + Sync {
     /// Creates the accumulator for `element`.
     fn init(&self, element: u64) -> Accumulator<R> {
@@ -141,20 +148,7 @@ pub trait Aggregator<R>: Send + Sync {
 
     /// Produces the element's final `(other, result)` list.
     fn finish(&self, acc: Accumulator<R>) -> Vec<(u64, R)> {
-        #[allow(deprecated)] // shim keeping legacy one-shot impls working
-        self.aggregate(acc.element, acc.partials)
-    }
-
-    /// One-shot merge of all partials gathered for `element`.
-    #[deprecated(note = "implement `fold`/`finish` (and `DecomposableAggregator` where the fold \
-                is order-insensitive) instead of the one-shot signature; callers should \
-                use `aggregate_all`")]
-    fn aggregate(&self, element: u64, partials: Vec<(u64, R)>) -> Vec<(u64, R)> {
-        let mut acc = self.init(element);
-        for (other, result) in partials {
-            self.fold(&mut acc, other, result);
-        }
-        self.finish(acc)
+        acc.partials
     }
 
     /// Advertises the decomposable capability. Returning `Some` promises
@@ -177,8 +171,8 @@ pub trait DecomposableAggregator<R>: Aggregator<R> {
     fn merge(&self, acc: &mut Accumulator<R>, other: Accumulator<R>);
 }
 
-/// One-shot aggregation routed through the streaming API — the
-/// non-deprecated replacement for calling [`Aggregator::aggregate`].
+/// One-shot aggregation routed through the streaming API: folds every
+/// partial into a fresh accumulator, then finishes it.
 pub fn aggregate_all<R>(
     aggregator: &dyn Aggregator<R>,
     element: u64,
@@ -423,22 +417,113 @@ impl<R> PairwiseOutput<R> {
     }
 }
 
-/// Finishes a dense id-indexed accumulator vector (`accs[id]` holds
-/// element `id`'s state) into a sorted [`PairwiseOutput`] — the hot-path
-/// layout of the local and sequential runners. Already sorted by
-/// construction.
-pub(crate) fn finalize_dense<R>(
-    accs: Vec<Accumulator<R>>,
-    aggregator: &dyn Aggregator<R>,
+/// How an element's copies — per-worker, per-reduce-task or per-round
+/// accumulators — become its final list.
+pub(crate) enum Merge<'a, R> {
+    /// Fused: the copies were folded by this decomposable aggregator;
+    /// merge them with it, then finish.
+    Fused(&'a dyn DecomposableAggregator<R>),
+    /// Unfused: the copies hold partials collected by [`ConcatSort`]'s
+    /// fold; concatenate them, then [`aggregate_all`] with this aggregator.
+    Collected(&'a dyn Aggregator<R>),
+    /// Each element arrives at most once, already aggregated (an MR
+    /// job's reduce output).
+    Final,
+}
+
+impl<'a, R> Merge<'a, R> {
+    /// Fused when asked and the aggregator is decomposable, collected
+    /// otherwise.
+    pub(crate) fn new(aggregator: &'a dyn Aggregator<R>, fuse: bool) -> Self {
+        match aggregator.decomposable() {
+            Some(dec) if fuse => Merge::Fused(dec),
+            _ => Merge::Collected(aggregator),
+        }
+    }
+
+    /// The aggregator copies are initialized, folded and merged with.
+    pub(crate) fn folder(&self) -> &'a dyn DecomposableAggregator<R> {
+        match self {
+            Merge::Fused(dec) => *dec,
+            Merge::Collected(_) | Merge::Final => &ConcatSort,
+        }
+    }
+
+    fn finish(&self, acc: Accumulator<R>) -> Vec<(u64, R)> {
+        match self {
+            Merge::Fused(dec) => dec.finish(acc),
+            Merge::Collected(aggregator) => aggregate_all(*aggregator, acc.element, acc.partials),
+            Merge::Final => acc.partials,
+        }
+    }
+}
+
+/// Merges element copies into one dense, id-indexed accumulator per
+/// element of `0..v`, then finishes each — in parallel over contiguous id
+/// ranges when `threads > 1`. An element's first copy becomes its
+/// accumulator and later non-empty copies merge into it in arrival order;
+/// an element no copy reached finishes from a fresh `init`, so every
+/// element gets a row. The output is sorted by construction, and thread
+/// count never changes it.
+pub(crate) fn merge_copies<R: Send>(
+    v: u64,
+    copies: impl IntoIterator<Item = Accumulator<R>>,
+    merge: &Merge<'_, R>,
+    threads: usize,
 ) -> PairwiseOutput<R> {
-    let per_element = accs
-        .into_iter()
-        .map(|acc| {
-            let id = acc.element();
-            (id, aggregator.finish(acc))
+    let folder = merge.folder();
+    let mut slots: Vec<Option<Accumulator<R>>> = (0..v).map(|_| None).collect();
+    for copy in copies {
+        let slot = &mut slots[copy.element as usize];
+        match slot {
+            None => *slot = Some(copy),
+            Some(acc) if !copy.is_empty() => folder.merge(acc, copy),
+            Some(_) => {}
+        }
+    }
+    let mut per_element: Vec<(u64, Vec<(u64, R)>)> = (0..v).map(|id| (id, Vec::new())).collect();
+    if v == 0 {
+        return PairwiseOutput { per_element };
+    }
+    // More finishing threads than hardware threads only adds context
+    // switches.
+    let hw = std::thread::available_parallelism().map_or(threads, |p| p.get());
+    let chunk = (v as usize).div_ceil(threads.max(1).min(hw).min(v as usize));
+    let finish_range = |slots: &mut [Option<Accumulator<R>>], out: &mut [(u64, Vec<(u64, R)>)]| {
+        for (slot, (id, row)) in slots.iter_mut().zip(out) {
+            let acc = slot.take().unwrap_or_else(|| folder.init(*id));
+            *row = merge.finish(acc);
+        }
+    };
+    if chunk == v as usize {
+        finish_range(&mut slots, &mut per_element);
+    } else {
+        crossbeam::thread::scope(|scope| {
+            for (slot_chunk, out_chunk) in
+                slots.chunks_mut(chunk).zip(per_element.chunks_mut(chunk))
+            {
+                scope.spawn(move |_| finish_range(slot_chunk, out_chunk));
+            }
         })
-        .collect();
+        .expect("finish scope failed");
+    }
     PairwiseOutput { per_element }
+}
+
+/// The §7 merge between rounds, shared by every backend: each round's
+/// rows (finished by [`ConcatSort`]) are concatenated in round order, and
+/// the caller's aggregator runs once per element over the result.
+pub(crate) fn merge_rounds<R: Send>(
+    v: u64,
+    rounds: Vec<PairwiseOutput<R>>,
+    aggregator: &dyn Aggregator<R>,
+    threads: usize,
+) -> PairwiseOutput<R> {
+    let copies = rounds
+        .into_iter()
+        .flat_map(|round| round.per_element)
+        .map(|(id, row)| Accumulator::from_parts(id, row));
+    merge_copies(v, copies, &Merge::Collected(aggregator), threads)
 }
 
 #[cfg(test)]
@@ -485,28 +570,6 @@ mod tests {
         assert!(acc.len() < agg.compaction_threshold(), "fold must compact in place");
         let out = agg.finish(acc);
         assert_eq!(out, vec![(1000, 1.0), (999, 2.0), (998, 3.0)]);
-    }
-
-    /// A legacy implementation overriding only the deprecated one-shot
-    /// method still works through every streaming entry point.
-    #[test]
-    fn deprecated_one_shot_shim_still_works() {
-        struct Legacy;
-        #[allow(deprecated)]
-        impl Aggregator<u64> for Legacy {
-            fn aggregate(&self, _element: u64, mut partials: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-                partials.sort_unstable();
-                partials
-            }
-        }
-        let agg = Legacy;
-        assert!(agg.decomposable().is_none());
-        let out = aggregate_all(&agg, 0, vec![(2u64, 9u64), (1, 4)]);
-        assert_eq!(out, vec![(1, 4), (2, 9)]);
-        let mut acc = agg.init(0);
-        agg.fold(&mut acc, 2, 9);
-        agg.fold(&mut acc, 1, 4);
-        assert_eq!(agg.finish(acc), vec![(1, 4), (2, 9)]);
     }
 
     #[test]

@@ -31,6 +31,14 @@
 //! the shuffle job 2 would have charged accrues under
 //! [`FUSED_CHARGED_SHUFFLE_COUNTER`] — while the physically moved shuffle
 //! bytes of job 2 disappear.
+//!
+//! **One driver.** `run_mr` runs every plan: a scheme as the jobs above,
+//! the broadcast scheme as the §5.1 single job, and §7 rounds as one
+//! pipeline per round. It seeds the worker stores once, builds every job
+//! from the same settings, evaluates every task — a job-1 reduce group or
+//! a broadcast label range — through the shared `evaluate_task`, and
+//! merges every job's output rows into the dense, id-indexed result
+//! through the runner's one merge-then-finish helper.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,15 +46,19 @@ use std::sync::Arc;
 
 use pmr_cluster::{Cluster, WireSnapshot};
 use pmr_mapreduce::{
-    read_output, write_sharded, Engine, JobOutput, JobSpec, MapContext, Mapper, ModuloPartitioner,
-    MrError, ReduceContext, Reducer, Values, Wire,
+    read_output, write_sharded, Counters, Engine, JobOutput, JobSpec, MapContext, Mapper,
+    ModuloPartitioner, MrError, ReduceContext, Reducer, Values, Wire,
 };
 use pmr_obs::{hist, Telemetry};
 
-use crate::runner::filter::{PairFilter, PruneStats};
-use crate::runner::kernel::{evaluate_tiled, evaluate_tiled_fused, BatchComp};
+use crate::runner::filter::PairFilter;
+use crate::runner::job::Plan;
+use crate::runner::kernel::{evaluate_task, BatchComp};
 use crate::runner::store::ElementStore;
-use crate::runner::{Accumulator, Aggregator, PairwiseOutput, Symmetry};
+use crate::runner::{
+    merge_copies, merge_rounds, Accumulator, Aggregator, ConcatSort, Merge, PairwiseOutput,
+    Symmetry,
+};
 use crate::scheme::{BroadcastScheme, DistributionScheme};
 
 /// User counter: pairwise function evaluations performed inside tasks.
@@ -222,14 +234,70 @@ fn validate_working_set<T: Wire + Sync>(
     Ok((ids, payload_bytes))
 }
 
-/// Job-1 reducer: `getPairs` + `evaluate` + `addResult` (both directions),
-/// resolving ids through the node-local element store.
-struct EvaluateReducer<T, R> {
+/// What a job-1 reduce task or a broadcast map task needs to evaluate its
+/// pairs against the node-local element store.
+struct TaskEvaluator<T, R> {
     scheme: Arc<dyn DistributionScheme>,
     kernel: Arc<dyn BatchComp<T, R>>,
     symmetry: Symmetry,
     filter: Option<Arc<dyn PairFilter>>,
     telemetry: Telemetry,
+}
+
+impl<T: Sync, R: Clone> TaskEvaluator<T, R> {
+    /// Runs task `task`'s pairs through [`evaluate_task`], folding every
+    /// result into `accs` (one accumulator per element) with `folder`;
+    /// `observe` sees each result before its fold. The evaluation count —
+    /// and, on filtered runs only, the pruning tallies — accrue through the
+    /// task's scratch counters, so they stay exactly-once under crashes and
+    /// speculation like every other user counter.
+    fn evaluate<F: Aggregator<R> + ?Sized>(
+        &self,
+        task: u64,
+        store: &ElementStore<T>,
+        folder: &F,
+        accs: &mut HashMap<u64, Accumulator<R>>,
+        counters: &Counters,
+        mut observe: impl FnMut(u64, &R),
+    ) {
+        // The caller checked that every id the task can name resolves.
+        let (evals, prune) = evaluate_task(
+            |f| self.scheme.for_each_pair(task, f),
+            self.filter.as_deref(),
+            self.kernel.as_ref(),
+            self.symmetry,
+            |id| store.get(id).expect("task ids validated against the store"),
+            |element, other, result| {
+                observe(element, &result);
+                let acc = accs.entry(element).or_insert_with(|| folder.init(element));
+                folder.fold(acc, other, result);
+            },
+        );
+        counters.add(EVALUATIONS_COUNTER, evals);
+        if self.filter.is_some() {
+            for (name, value) in prune.counters() {
+                counters.add(name, value);
+            }
+        }
+        self.telemetry.record_value(hist::EVALUATIONS_PER_TASK, evals);
+    }
+}
+
+/// Job-1 reducer: `getPairs` + `evaluate` + `addResult` (both directions)
+/// over one working set, emitting every element copy with its partial
+/// results (paper: "The output of the reduce phase contains each element
+/// (including all copies)") — as ids, not payloads.
+///
+/// Unfused, partials are collected with [`ConcatSort`]'s fold for job 2.
+/// Fused, they are folded — filtered, compacted — by the run's
+/// decomposable aggregator, the driver merges the copies and job 2 never
+/// runs; to keep the charged-byte model identical, every pre-fold entry
+/// is measured and the shuffle bytes job 2 would have charged for this
+/// task's records accrue under [`FUSED_CHARGED_SHUFFLE_COUNTER`].
+struct EvaluateReducer<T, R> {
+    eval: TaskEvaluator<T, R>,
+    /// The run's decomposable aggregator on fused runs.
+    fused: Option<Arc<dyn Aggregator<R>>>,
 }
 
 impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for EvaluateReducer<T, R> {
@@ -247,141 +315,40 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for EvaluateReducer<T, R> {
         let store = ctx
             .store::<ElementStore<T>>()
             .ok_or_else(|| MrError::InvalidJob("element store not attached to job 1".into()))?;
-        let (ids, payload_bytes) = validate_working_set(self.scheme.as_ref(), ws, values, store)?;
+        let (ids, payload_bytes) =
+            validate_working_set(self.eval.scheme.as_ref(), ws, values, store)?;
         ctx.memory().try_reserve(payload_bytes)?;
-        // The received ids match the scheme's working set exactly and every
-        // one resolved against the store above; the scheme only enumerates
-        // pairs within the working set, so resolution below is infallible.
-        let mut results: HashMap<u64, Vec<(u64, R)>> = HashMap::with_capacity(ids.len());
-        let mut prune = PruneStats::default();
-        let filter = self.filter.as_deref();
-        let evals = evaluate_tiled(
-            self.kernel.as_ref(),
-            self.symmetry,
-            |id| store.get(id).expect("working-set id validated against the store"),
-            |f| match filter {
-                None => self.scheme.for_each_pair(ws, f),
-                Some(pf) => self.scheme.for_each_pair(ws, &mut |a, b| {
-                    prune.candidates += 1;
-                    if pf.is_candidate(a, b) {
-                        f(a, b);
-                    } else {
-                        prune.pruned += 1;
-                    }
-                }),
-            },
-            |a, b, rf, rr| {
-                let rb = rr.unwrap_or_else(|| rf.clone());
-                results.entry(a).or_default().push((b, rf));
-                results.entry(b).or_default().push((a, rb));
-            },
-        );
-        ctx.counters().add(EVALUATIONS_COUNTER, evals);
-        // Pruning counters exist only on filtered runs; accrued through
-        // the task's scratch counters they stay exactly-once under crashes
-        // and speculation, like every other user counter.
-        if filter.is_some() {
-            for (name, value) in prune.counters() {
-                ctx.counters().add(name, value);
+        let mut accs = HashMap::with_capacity(ids.len());
+        let mut folded_bytes: HashMap<u64, u64> = HashMap::new();
+        match self.fused.as_deref() {
+            Some(aggregator) => {
+                self.eval.evaluate(ws, store, aggregator, &mut accs, ctx.counters(), |id, r| {
+                    // Wire size of the `(other, result)` entry the unfused
+                    // partial list would carry for `id`: 8-byte other id
+                    // plus the result's canonical encoding.
+                    *folded_bytes.entry(id).or_insert(0) += 8 + r.to_bytes().len() as u64;
+                })
+            }
+            None => {
+                self.eval.evaluate(ws, store, &ConcatSort, &mut accs, ctx.counters(), |_, _| {})
             }
         }
-        self.telemetry.record_value(hist::EVALUATIONS_PER_TASK, evals);
-        // Emit every copy with its partial results (paper: "The output of
-        // the reduce phase contains each element (including all copies)") —
-        // as ids, not payloads.
-        for id in ids {
-            let partial = results.remove(&id).unwrap_or_default();
-            ctx.emit(id, partial);
-        }
-        ctx.memory().release(payload_bytes);
-        Ok(())
-    }
-}
-
-/// Fused job-1 reducer: evaluation *and* aggregation in one pass. Pair
-/// results are folded into per-element accumulators at the tile flush
-/// (never materialized as a per-pair list), and each element copy's
-/// emitted record already carries folded — filtered, compacted — partials.
-/// The driver merges the per-copy accumulators and job 2 never runs.
-///
-/// The charged-byte model is kept byte-identical to the unfused pipeline:
-/// every pre-fold `(other, result)` entry is observed and the shuffle
-/// bytes job 2 would have charged for this task's records accrue under
-/// [`FUSED_CHARGED_SHUFFLE_COUNTER`].
-struct FusedEvaluateReducer<T, R> {
-    scheme: Arc<dyn DistributionScheme>,
-    kernel: Arc<dyn BatchComp<T, R>>,
-    symmetry: Symmetry,
-    aggregator: Arc<dyn Aggregator<R>>,
-    filter: Option<Arc<dyn PairFilter>>,
-    telemetry: Telemetry,
-}
-
-impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for FusedEvaluateReducer<T, R> {
-    type KIn = u64;
-    type VIn = u64;
-    type KOut = u64;
-    type VOut = Vec<(u64, R)>;
-
-    fn reduce(
-        &self,
-        ws: u64,
-        values: Values<'_, u64>,
-        ctx: &mut ReduceContext<'_, u64, Vec<(u64, R)>>,
-    ) -> pmr_mapreduce::Result<()> {
-        let store = ctx
-            .store::<ElementStore<T>>()
-            .ok_or_else(|| MrError::InvalidJob("element store not attached to job 1".into()))?;
-        let (ids, payload_bytes) = validate_working_set(self.scheme.as_ref(), ws, values, store)?;
-        ctx.memory().try_reserve(payload_bytes)?;
-        let aggregator = self.aggregator.as_ref();
-        let mut accs: HashMap<u64, Accumulator<R>> = HashMap::with_capacity(ids.len());
-        let mut folded_bytes: HashMap<u64, u64> = HashMap::with_capacity(ids.len());
-        let mut prune = PruneStats::default();
-        let filter = self.filter.as_deref();
-        let evals = evaluate_tiled_fused(
-            self.kernel.as_ref(),
-            self.symmetry,
-            |id| store.get(id).expect("working-set id validated against the store"),
-            |f| match filter {
-                None => self.scheme.for_each_pair(ws, f),
-                Some(pf) => self.scheme.for_each_pair(ws, &mut |a, b| {
-                    prune.candidates += 1;
-                    if pf.is_candidate(a, b) {
-                        f(a, b);
-                    } else {
-                        prune.pruned += 1;
-                    }
-                }),
-            },
-            aggregator,
-            &mut accs,
-            |id, r| {
-                // Wire size of the `(other, result)` entry the unfused
-                // partial list would carry for `id`: 8-byte other id plus
-                // the result's canonical encoding.
-                *folded_bytes.entry(id).or_insert(0) += 8 + r.to_bytes().len() as u64;
-            },
-        );
-        ctx.counters().add(EVALUATIONS_COUNTER, evals);
-        if filter.is_some() {
-            for (name, value) in prune.counters() {
-                ctx.counters().add(name, value);
-            }
-        }
-        self.telemetry.record_value(hist::EVALUATIONS_PER_TASK, evals);
-        // Emit every copy with its folded partials, charging what job 2's
-        // map would have shuffled for the unfused record: frame header (8)
-        // + u64 key (8) + Vec length prefix (4) + the pre-fold entries +
-        // the element's payload-copy charge.
+        let fused = self.fused.is_some();
+        // What job 2's map would have shuffled for each unfused record:
+        // frame header (8) + u64 key (8) + Vec length prefix (4) + the
+        // pre-fold entries + the element's payload-copy charge.
         let mut fused_charge = 0u64;
         for id in ids {
             let partial = accs.remove(&id).map(Accumulator::into_partials).unwrap_or_default();
-            fused_charge +=
-                20 + folded_bytes.get(&id).copied().unwrap_or(0) + store.encoded_len(id);
+            if fused {
+                fused_charge +=
+                    20 + folded_bytes.get(&id).copied().unwrap_or(0) + store.encoded_len(id);
+            }
             ctx.emit(id, partial);
         }
-        ctx.counters().add(FUSED_CHARGED_SHUFFLE_COUNTER, fused_charge);
+        if fused {
+            ctx.counters().add(FUSED_CHARGED_SHUFFLE_COUNTER, fused_charge);
+        }
         ctx.memory().release(payload_bytes);
         Ok(())
     }
@@ -477,18 +444,15 @@ impl<T: Wire + Sync, R: Wire + Sync> Reducer for AggregateReducer<T, R> {
 
 /// Broadcast mapper: evaluates one task's label range against the
 /// node-local store ("the evaluation of pairs can then be done in the map
-/// function"). The dataset is still shipped to every node through the
-/// distributed cache — that is the paper's §5.1 seeding cost and it is
-/// recorded unchanged — but payload resolution goes through the store.
-struct BroadcastEvalMapper<T, R> {
-    scheme: BroadcastScheme,
-    kernel: Arc<dyn BatchComp<T, R>>,
-    symmetry: Symmetry,
-    filter: Option<Arc<dyn PairFilter>>,
-    telemetry: Telemetry,
+/// function") and emits each touched element's collected partials. The
+/// dataset is still shipped to every node through the distributed cache —
+/// that is the paper's §5.1 seeding cost and it is recorded unchanged —
+/// but payload resolution goes through the store.
+struct BroadcastMapper<T, R> {
+    eval: TaskEvaluator<T, R>,
 }
 
-impl<T: Wire + Sync, R: Wire + Clone + Sync> Mapper for BroadcastEvalMapper<T, R> {
+impl<T: Wire + Sync, R: Wire + Clone + Sync> Mapper for BroadcastMapper<T, R> {
     type KIn = u64;
     type VIn = ();
     type KOut = u64;
@@ -504,56 +468,26 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Mapper for BroadcastEvalMapper<T, R
             MrError::InvalidJob("element store not attached to broadcast job".into())
         })?;
         // The scheme's label ranges only name ids below `v`; one bound
-        // check makes the tiled resolution below infallible.
-        if (store.len() as u64) < self.scheme.v() {
+        // check makes the tiled resolution infallible.
+        if (store.len() as u64) < self.eval.scheme.v() {
             return Err(MrError::User(format!(
                 "broadcast: element id {} not in store",
                 store.len()
             )));
         }
-        let mut results: HashMap<u64, Vec<(u64, R)>> = HashMap::new();
-        let mut prune = PruneStats::default();
-        let filter = self.filter.as_deref();
-        let evals = evaluate_tiled(
-            self.kernel.as_ref(),
-            self.symmetry,
-            |id| store.get(id).expect("label range bounded by v"),
-            |f| match filter {
-                None => self.scheme.for_each_pair(task, f),
-                Some(pf) => self.scheme.for_each_pair(task, &mut |a, b| {
-                    prune.candidates += 1;
-                    if pf.is_candidate(a, b) {
-                        f(a, b);
-                    } else {
-                        prune.pruned += 1;
-                    }
-                }),
-            },
-            |a, b, rf, rr| {
-                let rb = rr.unwrap_or_else(|| rf.clone());
-                results.entry(a).or_default().push((b, rf));
-                results.entry(b).or_default().push((a, rb));
-            },
-        );
-        ctx.counters().add(EVALUATIONS_COUNTER, evals);
-        if filter.is_some() {
-            for (name, value) in prune.counters() {
-                ctx.counters().add(name, value);
-            }
-        }
-        self.telemetry.record_value(hist::EVALUATIONS_PER_TASK, evals);
-        let mut rows: Vec<(u64, Vec<(u64, R)>)> = results.into_iter().collect();
+        let mut accs = HashMap::new();
+        self.eval.evaluate(task, store, &ConcatSort, &mut accs, ctx.counters(), |_, _| {});
+        let mut rows: Vec<(u64, Accumulator<R>)> = accs.into_iter().collect();
         rows.sort_by_key(|(id, _)| *id);
-        for (id, partial) in rows {
-            let charge = store.encoded_len(id);
-            ctx.emit_charged(id, partial, charge);
+        for (id, acc) in rows {
+            ctx.emit_charged(id, acc.into_partials(), store.encoded_len(id));
         }
         Ok(())
     }
 }
 
 // ---------------------------------------------------------------------------
-// Drivers
+// Driver
 // ---------------------------------------------------------------------------
 
 fn auto(n: usize, cap: u64, requested: usize) -> usize {
@@ -572,65 +506,79 @@ fn store_handle<T: Wire + Sync>(
     Arc::clone(store) as Arc<dyn std::any::Any + Send + Sync>
 }
 
-fn moved_counter(job: &JobOutput) -> u64 {
-    job.counters.get(pmr_mapreduce::builtin::SHUFFLE_MOVED_BYTES).copied().unwrap_or(0)
-}
-
-/// Sums a recovery counter over the run's jobs (absent on healthy runs —
-/// the engine only creates these counters when they fire).
-fn recovery_counter<'a>(jobs: impl IntoIterator<Item = &'a JobOutput>, name: &str) -> u64 {
-    jobs.into_iter().map(|j| j.counters.get(name).copied().unwrap_or(0)).sum()
-}
-
-/// Stamps the scheme's closed-form predictions (Table 1) into the report
-/// meta so the skew diagnoser can compare measured working sets and
-/// evaluation counts against what the analysis promised.
-fn record_analytic_meta(telemetry: &Telemetry, scheme: &dyn DistributionScheme, n: u64) {
-    if !telemetry.is_enabled() {
-        return;
+impl MrRunReport {
+    /// Sums the run's jobs — job 1, plus job 2 when it ran — into one
+    /// report. A fused run's charged shuffle includes what job 2 would
+    /// have charged; `wire` is the transport traffic since `wire_start`.
+    fn new(
+        cluster: &Cluster,
+        job1: JobOutput,
+        job2: Option<JobOutput>,
+        fused: bool,
+        wire_start: &WireSnapshot,
+    ) -> MrRunReport {
+        let jobs: Vec<&JobOutput> = std::iter::once(&job1).chain(&job2).collect();
+        // Counters absent from a job (recovery counters on healthy runs,
+        // the fused charge on unfused ones) count as zero.
+        let sum = |name: &str| -> u64 {
+            jobs.iter().map(|j| j.counters.get(name).copied().unwrap_or(0)).sum()
+        };
+        use pmr_mapreduce::builtin;
+        MrRunReport {
+            evaluations: sum(EVALUATIONS_COUNTER),
+            replicated_records: job1.counters[builtin::MAP_OUTPUT_RECORDS],
+            shuffle_bytes: sum(builtin::SHUFFLE_BYTES) + sum(FUSED_CHARGED_SHUFFLE_COUNTER),
+            shuffle_moved_bytes: sum(builtin::SHUFFLE_MOVED_BYTES),
+            max_working_set_bytes: job1.stats.max_working_set_bytes,
+            network_bytes: jobs.iter().map(|j| j.stats.network_bytes).sum(),
+            peak_intermediate_bytes: jobs
+                .iter()
+                .map(|j| j.stats.peak_intermediate_bytes)
+                .max()
+                .unwrap_or(0),
+            node_crashes: sum(builtin::NODE_CRASHES),
+            map_reruns: sum(builtin::MAP_RERUNS),
+            speculative_launched: sum(builtin::SPECULATIVE_LAUNCHED),
+            speculative_won: sum(builtin::SPECULATIVE_WON),
+            transport: cluster.transport().name(),
+            wire: cluster.wire_snapshot().delta(wire_start),
+            job1,
+            job2,
+            fused,
+        }
     }
-    let analytic = scheme.metrics(n);
-    telemetry.set_meta("scheme.analytic.working_set", analytic.working_set_size);
-    telemetry.set_meta(
-        "scheme.analytic.evals_per_task",
-        format!("{:.1}", analytic.evaluations_per_task),
-    );
 }
 
+/// The one MR driver: runs a [`Plan`] — one scheme as the two-job
+/// pipeline, the §5.1 single broadcast job, or §7 rounds as one two-job
+/// pipeline each — and returns the output with one [`MrRunReport`] per
+/// pipeline. Telemetry (I/O phases, per-task histograms) goes to
+/// `telemetry`, the run's effective sink; run meta is the caller's.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_mr_impl<T, R>(
+pub(crate) fn run_mr<T, R>(
     cluster: &Cluster,
-    scheme: Arc<dyn DistributionScheme>,
+    plan: &Plan,
     store: &Arc<ElementStore<T>>,
     kernel: Arc<dyn BatchComp<T, R>>,
     symmetry: Symmetry,
     aggregator: Arc<dyn Aggregator<R>>,
     filter: Option<Arc<dyn PairFilter>>,
-    options: MrPairwiseOptions,
-) -> pmr_mapreduce::Result<(PairwiseOutput<R>, MrRunReport)>
+    options: &MrPairwiseOptions,
+    telemetry: &Telemetry,
+) -> pmr_mapreduce::Result<(PairwiseOutput<R>, Vec<MrRunReport>)>
 where
     T: Wire + Clone + Sync,
     R: Wire + Clone + Sync,
 {
-    if store.len() as u64 != scheme.v() {
-        return Err(MrError::InvalidJob(format!(
-            "payload count {} != scheme v {}",
-            store.len(),
-            scheme.v()
-        )));
+    for scheme in plan.schemes() {
+        if store.len() as u64 != scheme.v() {
+            return Err(MrError::InvalidJob(format!(
+                "payload count {} != scheme v {}",
+                store.len(),
+                scheme.v()
+            )));
+        }
     }
-    // Fuse only when asked *and* the aggregator advertises the capability;
-    // anything else runs the paper's two-job pipeline unchanged.
-    let fused = options.fuse && aggregator.decomposable().is_some();
-    let telemetry = cluster.telemetry().clone();
-    telemetry.set_meta("scheme", scheme.name());
-    telemetry.set_meta("scheme.v", scheme.v());
-    telemetry.set_meta("scheme.tasks", scheme.num_tasks());
-    telemetry.set_meta("backend", if cluster.is_distributed() { "process" } else { "mr" });
-    telemetry.set_meta("symmetry", format!("{symmetry:?}"));
-    telemetry.set_meta("mr.fused", fused);
-    let n = cluster.num_nodes();
-    record_analytic_meta(&telemetry, scheme.as_ref(), n as u64);
     let dir = &options.dfs_dir;
     let wire_start = cluster.wire_snapshot();
     // Distributed runs ship the encoded element store to every worker once
@@ -641,348 +589,204 @@ where
         cluster.seed_workers(&format!("seed/{dir}/store"), &store.dataset_bytes())?;
         drop(io);
     }
-    let shards = if options.input_shards == 0 { 2 * n } else { options.input_shards };
-    // Runner-level I/O gets its own phase track (job `{dir}-io`) so the
-    // report's phases tile the whole run, not just the engine jobs.
-    let io = telemetry.job_phase(&format!("{dir}-io"), "distribute-input");
-    let inputs = write_sharded(
+    let driver = Driver {
         cluster,
-        &format!("{dir}/input"),
-        shards,
-        store.elements().iter().cloned().enumerate().map(|(i, p)| (i as u64, p)),
-    )?;
-    drop(io);
-
-    let engine = Engine::new(cluster);
-    let reducers_job1 = auto(n, scheme.num_tasks(), options.reducers_job1);
-    let job1 = if fused {
-        engine.run(
-            JobSpec::new(
-                format!("{dir}-j1-distribute-evaluate"),
-                inputs,
-                format!("{dir}/mid"),
-                DistributeMapper::<T> {
-                    scheme: Arc::clone(&scheme),
-                    _pd: std::marker::PhantomData,
-                },
-                FusedEvaluateReducer::<T, R> {
-                    scheme: Arc::clone(&scheme),
-                    kernel,
-                    symmetry,
-                    aggregator: Arc::clone(&aggregator),
-                    filter,
-                    telemetry: telemetry.clone(),
-                },
-                reducers_job1,
-            )
-            .partitioner(Arc::new(ModuloPartitioner))
-            .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-            .store(store_handle(store)),
-        )?
-    } else {
-        engine.run(
-            JobSpec::new(
-                format!("{dir}-j1-distribute-evaluate"),
-                inputs,
-                format!("{dir}/mid"),
-                DistributeMapper::<T> {
-                    scheme: Arc::clone(&scheme),
-                    _pd: std::marker::PhantomData,
-                },
-                EvaluateReducer::<T, R> {
-                    scheme: Arc::clone(&scheme),
-                    kernel,
-                    symmetry,
-                    filter,
-                    telemetry: telemetry.clone(),
-                },
-                reducers_job1,
-            )
-            .partitioner(Arc::new(ModuloPartitioner))
-            .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-            .store(store_handle(store)),
-        )?
+        engine: Engine::new(cluster),
+        store,
+        kernel,
+        symmetry,
+        filter,
+        options,
+        telemetry,
     };
-
-    if fused {
-        // Job 2 is skipped outright: the driver merges the per-copy
-        // accumulators off job 1's output and finishes each element. The
-        // shuffle job 2 would have charged was accrued (exactly-once) by
-        // the fused reduce tasks, so the reported charged bytes still
-        // equal the unfused two-job total while nothing extra moved.
-        let dec = aggregator.decomposable().expect("fused run requires a decomposable aggregator");
-        let io = telemetry.job_phase(&format!("{dir}-io"), "merge-aggregate");
-        let rows: Vec<OutputRow<R>> = read_output(cluster, &format!("{dir}/mid"))?;
-        let mut accs: HashMap<u64, Accumulator<R>> = HashMap::new();
-        for (id, partial) in rows {
-            match accs.entry(id) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    dec.merge(e.get_mut(), Accumulator::from_parts(id, partial));
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Accumulator::from_parts(id, partial));
-                }
-            }
+    match plan {
+        Plan::None => unreachable!("the builder rejects scheme-less MR runs"),
+        Plan::Scheme(scheme) => {
+            let (out, report) = driver.two_jobs(scheme, dir, &aggregator, &wire_start)?;
+            Ok((out, vec![report]))
         }
-        let mut per_element: Vec<OutputRow<R>> =
-            accs.into_iter().map(|(id, acc)| (id, dec.finish(acc))).collect();
-        per_element.sort_by_key(|(id, _)| *id);
-        drop(io);
+        Plan::Broadcast(scheme) => {
+            let (out, report) = driver.broadcast(scheme, &aggregator, &wire_start)?;
+            Ok((out, vec![report]))
+        }
+        Plan::Rounds(rounds) => {
+            // Paper §7: rounds run one after another, each collected with
+            // ConcatSort ("each block is aggregated before the next one is
+            // processed"), and merge once at the end. Per-round reports
+            // show peak intermediate storage bounded by the largest round.
+            let concat: Arc<dyn Aggregator<R>> = Arc::new(ConcatSort);
+            let mut outputs = Vec::with_capacity(rounds.len());
+            let mut reports = Vec::with_capacity(rounds.len());
+            let mut round_start = wire_start;
+            for (i, round) in rounds.iter().enumerate() {
+                let round_dir = format!("{dir}/round-{i}");
+                let (out, report) = driver.two_jobs(round, &round_dir, &concat, &round_start)?;
+                // The round's DFS files are no longer needed once merged.
+                for path in cluster.dfs().list(&format!("{round_dir}/")) {
+                    cluster.dfs().delete(&path);
+                }
+                round_start = cluster.wire_snapshot();
+                outputs.push(out);
+                reports.push(report);
+            }
+            Ok((merge_rounds(store.len() as u64, outputs, aggregator.as_ref(), 1), reports))
+        }
+    }
+}
 
-        let fused_charge = job1.counters.get(FUSED_CHARGED_SHUFFLE_COUNTER).copied().unwrap_or(0);
-        let report = MrRunReport {
-            evaluations: job1.counters.get(EVALUATIONS_COUNTER).copied().unwrap_or(0),
-            replicated_records: job1.counters[pmr_mapreduce::builtin::MAP_OUTPUT_RECORDS],
-            shuffle_bytes: job1.counters[pmr_mapreduce::builtin::SHUFFLE_BYTES] + fused_charge,
-            shuffle_moved_bytes: moved_counter(&job1),
-            max_working_set_bytes: job1.stats.max_working_set_bytes,
-            network_bytes: job1.stats.network_bytes,
-            peak_intermediate_bytes: job1.stats.peak_intermediate_bytes,
-            node_crashes: recovery_counter([&job1], pmr_mapreduce::builtin::NODE_CRASHES),
-            map_reruns: recovery_counter([&job1], pmr_mapreduce::builtin::MAP_RERUNS),
-            speculative_launched: recovery_counter(
-                [&job1],
-                pmr_mapreduce::builtin::SPECULATIVE_LAUNCHED,
-            ),
-            speculative_won: recovery_counter([&job1], pmr_mapreduce::builtin::SPECULATIVE_WON),
-            transport: cluster.transport().name(),
-            wire: cluster.wire_snapshot().delta(&wire_start),
-            job1,
-            job2: None,
-            fused: true,
-        };
-        return Ok((PairwiseOutput { per_element }, report));
+/// One MR run's shared state: what every job of the run is built from.
+struct Driver<'a, T, R> {
+    cluster: &'a Cluster,
+    engine: Engine<'a>,
+    store: &'a Arc<ElementStore<T>>,
+    kernel: Arc<dyn BatchComp<T, R>>,
+    symmetry: Symmetry,
+    filter: Option<Arc<dyn PairFilter>>,
+    options: &'a MrPairwiseOptions,
+    telemetry: &'a Telemetry,
+}
+
+impl<T, R> Driver<'_, T, R>
+where
+    T: Wire + Clone + Sync,
+    R: Wire + Clone + Sync,
+{
+    fn evaluator(&self, scheme: Arc<dyn DistributionScheme>) -> TaskEvaluator<T, R> {
+        TaskEvaluator {
+            scheme,
+            kernel: Arc::clone(&self.kernel),
+            symmetry: self.symmetry,
+            filter: self.filter.clone(),
+            telemetry: self.telemetry.clone(),
+        }
     }
 
-    let job2 = engine.run(
-        JobSpec::new(
+    /// Runs `spec` with the settings every job of the run shares.
+    fn run<M, Rd>(&self, spec: JobSpec<M, Rd>) -> pmr_mapreduce::Result<JobOutput>
+    where
+        M: Mapper,
+        Rd: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    {
+        let (num, den) = self.options.memory_overhead;
+        self.engine.run(
+            spec.partitioner(Arc::new(ModuloPartitioner))
+                .memory_overhead(num, den)
+                .store(store_handle(self.store)),
+        )
+    }
+
+    /// Reads a job's output rows (written under `dfs`) inside the I/O
+    /// phase `phase` and merges them into the run's dense output.
+    fn collect(
+        &self,
+        dir: &str,
+        phase: &str,
+        dfs: &str,
+        merge: &Merge<'_, R>,
+    ) -> pmr_mapreduce::Result<PairwiseOutput<R>> {
+        let _io = self.telemetry.job_phase(&format!("{dir}-io"), phase);
+        let rows: Vec<OutputRow<R>> = read_output(self.cluster, dfs)?;
+        let copies = rows.into_iter().map(|(id, partial)| Accumulator::from_parts(id, partial));
+        Ok(merge_copies(self.store.len() as u64, copies, merge, 1))
+    }
+
+    /// Algorithms 1 and 2: job 1 distributes and evaluates; job 2
+    /// aggregates — or, fused, is skipped outright while the driver merges
+    /// job 1's per-copy accumulators. The shuffle job 2 would have charged
+    /// was accrued (exactly-once) by the fused reduce tasks, so the charged
+    /// bytes still equal the unfused two-job total while nothing extra
+    /// moved.
+    fn two_jobs(
+        &self,
+        scheme: &Arc<dyn DistributionScheme>,
+        dir: &str,
+        aggregator: &Arc<dyn Aggregator<R>>,
+        wire_start: &WireSnapshot,
+    ) -> pmr_mapreduce::Result<(PairwiseOutput<R>, MrRunReport)> {
+        let n = self.cluster.num_nodes();
+        let merge = Merge::new(aggregator.as_ref(), self.options.fuse);
+        let fused = matches!(merge, Merge::Fused(_));
+        let shards = if self.options.input_shards == 0 { 2 * n } else { self.options.input_shards };
+        // Runner-level I/O gets its own phase track (job `{dir}-io`) so the
+        // report's phases tile the whole run, not just the engine jobs.
+        let io = self.telemetry.job_phase(&format!("{dir}-io"), "distribute-input");
+        let elements = self.store.elements().iter().cloned().enumerate();
+        let inputs = write_sharded(
+            self.cluster,
+            &format!("{dir}/input"),
+            shards,
+            elements.map(|(i, p)| (i as u64, p)),
+        )?;
+        drop(io);
+        let job1 = self.run(JobSpec::new(
+            format!("{dir}-j1-distribute-evaluate"),
+            inputs,
+            format!("{dir}/mid"),
+            DistributeMapper::<T> { scheme: Arc::clone(scheme), _pd: std::marker::PhantomData },
+            EvaluateReducer::<T, R> {
+                eval: self.evaluator(Arc::clone(scheme)),
+                fused: fused.then(|| Arc::clone(aggregator)),
+            },
+            auto(n, scheme.num_tasks(), self.options.reducers_job1),
+        ))?;
+        if fused {
+            let out = self.collect(dir, "merge-aggregate", &format!("{dir}/mid"), &merge)?;
+            return Ok((out, MrRunReport::new(self.cluster, job1, None, true, wire_start)));
+        }
+        let job2 = self.run(JobSpec::new(
             format!("{dir}-j2-aggregate"),
             job1.output_paths.clone(),
             format!("{dir}/out"),
             GroupByElementMapper::<T, R> { _pd: std::marker::PhantomData },
-            AggregateReducer::<T, R> { aggregator, _pd: std::marker::PhantomData },
-            auto(n, scheme.v(), options.reducers_job2),
-        )
-        .partitioner(Arc::new(ModuloPartitioner))
-        .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-        .store(store_handle(store)),
-    )?;
-
-    let io = telemetry.job_phase(&format!("{dir}-io"), "collect-output");
-    let mut per_element: Vec<OutputRow<R>> = read_output(cluster, &format!("{dir}/out"))?;
-    per_element.sort_by_key(|(id, _)| *id);
-    drop(io);
-
-    let report = MrRunReport {
-        evaluations: job1.counters.get(EVALUATIONS_COUNTER).copied().unwrap_or(0),
-        replicated_records: job1.counters[pmr_mapreduce::builtin::MAP_OUTPUT_RECORDS],
-        shuffle_bytes: job1.counters[pmr_mapreduce::builtin::SHUFFLE_BYTES]
-            + job2.counters[pmr_mapreduce::builtin::SHUFFLE_BYTES],
-        shuffle_moved_bytes: moved_counter(&job1) + moved_counter(&job2),
-        max_working_set_bytes: job1.stats.max_working_set_bytes,
-        network_bytes: job1.stats.network_bytes + job2.stats.network_bytes,
-        peak_intermediate_bytes: job1
-            .stats
-            .peak_intermediate_bytes
-            .max(job2.stats.peak_intermediate_bytes),
-        node_crashes: recovery_counter([&job1, &job2], pmr_mapreduce::builtin::NODE_CRASHES),
-        map_reruns: recovery_counter([&job1, &job2], pmr_mapreduce::builtin::MAP_RERUNS),
-        speculative_launched: recovery_counter(
-            [&job1, &job2],
-            pmr_mapreduce::builtin::SPECULATIVE_LAUNCHED,
-        ),
-        speculative_won: recovery_counter([&job1, &job2], pmr_mapreduce::builtin::SPECULATIVE_WON),
-        transport: cluster.transport().name(),
-        wire: cluster.wire_snapshot().delta(&wire_start),
-        job1,
-        job2: Some(job2),
-        fused: false,
-    };
-    Ok((PairwiseOutput { per_element }, report))
-}
-
-/// Runs a hierarchical scheme's rounds **sequentially**, each round as the
-/// full two-job pipeline, aggregating between rounds — the paper's §7
-/// extension ("each block is aggregated before the next one is processed").
-///
-/// Per-round partial results are concatenated and the caller's aggregator
-/// is applied once over the merged lists. Returns the per-round reports so
-/// experiments can show that peak intermediate storage is bounded by the
-/// largest *round* rather than the whole dataset's replication.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_mr_rounds_impl<T, R>(
-    cluster: &Cluster,
-    rounds: Vec<Arc<dyn DistributionScheme>>,
-    store: &Arc<ElementStore<T>>,
-    kernel: Arc<dyn BatchComp<T, R>>,
-    symmetry: Symmetry,
-    aggregator: Arc<dyn Aggregator<R>>,
-    filter: Option<Arc<dyn PairFilter>>,
-    options: MrPairwiseOptions,
-) -> pmr_mapreduce::Result<(PairwiseOutput<R>, Vec<MrRunReport>)>
-where
-    T: Wire + Clone + Sync,
-    R: Wire + Clone + Sync,
-{
-    let mut merged: std::collections::HashMap<u64, Vec<(u64, R)>> =
-        (0..store.len() as u64).map(|id| (id, Vec::new())).collect();
-    let mut reports = Vec::with_capacity(rounds.len());
-    for (i, round) in rounds.into_iter().enumerate() {
-        let opts = MrPairwiseOptions {
-            dfs_dir: format!("{}/round-{i}", options.dfs_dir),
-            ..options.clone()
-        };
-        let (out, report) = run_mr_impl(
-            cluster,
-            round,
-            store,
-            Arc::clone(&kernel),
-            symmetry,
-            Arc::new(crate::runner::ConcatSort),
-            filter.clone(),
-            opts,
-        )?;
-        for (id, mut partial) in out.per_element {
-            merged.entry(id).or_default().append(&mut partial);
-        }
-        reports.push(report);
-        // The round's DFS files are no longer needed once merged.
-        cluster.dfs().list(&format!("{}/round-{i}/", options.dfs_dir)).iter().for_each(|p| {
-            cluster.dfs().delete(p);
-        });
-    }
-    let mut per_element: Vec<(u64, Vec<(u64, R)>)> = merged
-        .into_iter()
-        .map(|(id, partials)| (id, crate::runner::aggregate_all(aggregator.as_ref(), id, partials)))
-        .collect();
-    per_element.sort_by_key(|(id, _)| *id);
-    Ok((PairwiseOutput { per_element }, reports))
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_mr_broadcast_impl<T, R>(
-    cluster: &Cluster,
-    scheme: &BroadcastScheme,
-    store: &Arc<ElementStore<T>>,
-    kernel: Arc<dyn BatchComp<T, R>>,
-    symmetry: Symmetry,
-    aggregator: Arc<dyn Aggregator<R>>,
-    filter: Option<Arc<dyn PairFilter>>,
-    options: MrPairwiseOptions,
-) -> pmr_mapreduce::Result<(PairwiseOutput<R>, MrRunReport)>
-where
-    T: Wire + Clone + Sync,
-    R: Wire + Clone + Sync,
-{
-    if store.len() as u64 != scheme.v() {
-        return Err(MrError::InvalidJob(format!(
-            "payload count {} != scheme v {}",
-            store.len(),
-            scheme.v()
-        )));
-    }
-    let telemetry = cluster.telemetry().clone();
-    telemetry.set_meta("scheme", scheme.name());
-    telemetry.set_meta("scheme.v", scheme.v());
-    telemetry.set_meta("scheme.tasks", scheme.num_tasks());
-    telemetry.set_meta("backend", if cluster.is_distributed() { "process" } else { "mr" });
-    telemetry.set_meta("symmetry", format!("{symmetry:?}"));
-    let n = cluster.num_nodes();
-    record_analytic_meta(&telemetry, scheme, n as u64);
-    let dir = &options.dfs_dir;
-    let wire_start = cluster.wire_snapshot();
-    // The §5.1 seeding cost: the dataset is broadcast to every node, and
-    // the per-node store view resolves against it. Distributed runs also
-    // ship the encoded store to every worker (`seed` wire class).
-    let dataset_bytes = store.dataset_bytes();
-    if cluster.is_distributed() {
-        let io = telemetry.job_phase(&format!("{dir}-io"), "seed-store");
-        cluster.seed_workers(&format!("seed/{dir}/store"), &dataset_bytes)?;
-        drop(io);
-    }
-
-    // Input = one record per (nonempty) task: the unit of map-side work.
-    let tasks: Vec<(u64, ())> =
-        (0..scheme.num_tasks()).filter(|&t| scheme.num_pairs(t) > 0).map(|t| (t, ())).collect();
-    let shards = if options.input_shards == 0 { n } else { options.input_shards };
-    let io = telemetry.job_phase(&format!("{dir}-io"), "distribute-input");
-    let inputs =
-        write_sharded(cluster, &format!("{dir}/tasks"), shards.min(tasks.len().max(1)), tasks)?;
-    drop(io);
-
-    let engine = Engine::new(cluster);
-    let job = engine.run(
-        JobSpec::new(
-            format!("{dir}-broadcast-evaluate-aggregate"),
-            inputs,
-            format!("{dir}/out"),
-            BroadcastEvalMapper::<T, R> {
-                scheme: scheme.clone(),
-                kernel,
-                symmetry,
-                filter: filter.clone(),
-                telemetry: telemetry.clone(),
-            },
             AggregateReducer::<T, R> {
-                aggregator: Arc::clone(&aggregator),
+                aggregator: Arc::clone(aggregator),
                 _pd: std::marker::PhantomData,
             },
-            auto(n, scheme.v(), options.reducers_job2),
-        )
-        .partitioner(Arc::new(ModuloPartitioner))
-        .cache_file("dataset", dataset_bytes)
-        .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-        .store(store_handle(store)),
-    )?;
-
-    let io = telemetry.job_phase(&format!("{dir}-io"), "collect-output");
-    let mut per_element: Vec<OutputRow<R>> = read_output(cluster, &format!("{dir}/out"))?;
-    per_element.sort_by_key(|(id, _)| *id);
-    // The broadcast mapper only emits elements that produced results, so a
-    // filter that prunes *every* pair of an element would drop its row.
-    // Backfill the empty rows the other backends produce (aggregator run
-    // over zero partials), keeping pruned output identical across
-    // backends. Unfiltered runs never hit this: every element has v−1
-    // pairs, so every id was emitted.
-    if filter.is_some() && per_element.len() < store.len() {
-        let mut filled: Vec<OutputRow<R>> = Vec::with_capacity(store.len());
-        let mut have = per_element.into_iter().peekable();
-        for id in 0..store.len() as u64 {
-            match have.peek() {
-                Some((next, _)) if *next == id => filled.push(have.next().unwrap()),
-                _ => filled
-                    .push((id, crate::runner::aggregate_all(aggregator.as_ref(), id, Vec::new()))),
-            }
-        }
-        per_element = filled;
+            auto(n, scheme.v(), self.options.reducers_job2),
+        ))?;
+        let out = self.collect(dir, "collect-output", &format!("{dir}/out"), &Merge::Final)?;
+        Ok((out, MrRunReport::new(self.cluster, job1, Some(job2), false, wire_start)))
     }
-    drop(io);
 
-    let report = MrRunReport {
-        evaluations: job.counters.get(EVALUATIONS_COUNTER).copied().unwrap_or(0),
-        replicated_records: job.counters[pmr_mapreduce::builtin::MAP_OUTPUT_RECORDS],
-        shuffle_bytes: job.counters[pmr_mapreduce::builtin::SHUFFLE_BYTES],
-        shuffle_moved_bytes: moved_counter(&job),
-        max_working_set_bytes: job.stats.max_working_set_bytes,
-        network_bytes: job.stats.network_bytes,
-        peak_intermediate_bytes: job.stats.peak_intermediate_bytes,
-        node_crashes: recovery_counter([&job], pmr_mapreduce::builtin::NODE_CRASHES),
-        map_reruns: recovery_counter([&job], pmr_mapreduce::builtin::MAP_RERUNS),
-        speculative_launched: recovery_counter(
-            [&job],
-            pmr_mapreduce::builtin::SPECULATIVE_LAUNCHED,
-        ),
-        speculative_won: recovery_counter([&job], pmr_mapreduce::builtin::SPECULATIVE_WON),
-        transport: cluster.transport().name(),
-        wire: cluster.wire_snapshot().delta(&wire_start),
-        job1: job,
-        job2: None,
-        // The §5.1 variant is inherently single-job; its map-side emission
-        // stays unfused so the charged seeding/shuffle costs are the
-        // paper's unchanged.
-        fused: false,
-    };
-    Ok((PairwiseOutput { per_element }, report))
+    /// The §5.1 single job: the dataset travels once to every node through
+    /// the distributed cache, map tasks evaluate label ranges, and reduce
+    /// tasks aggregate. Inherently single-job, so its emission stays
+    /// unfused and the charged seeding/shuffle costs are the paper's. An
+    /// element whose pairs were all pruned reaches no reducer and gets
+    /// the empty row.
+    fn broadcast(
+        &self,
+        scheme: &BroadcastScheme,
+        aggregator: &Arc<dyn Aggregator<R>>,
+        wire_start: &WireSnapshot,
+    ) -> pmr_mapreduce::Result<(PairwiseOutput<R>, MrRunReport)> {
+        let n = self.cluster.num_nodes();
+        let dir = &self.options.dfs_dir;
+        // Input = one record per (nonempty) task: the unit of map-side work.
+        let tasks: Vec<(u64, ())> =
+            (0..scheme.num_tasks()).filter(|&t| scheme.num_pairs(t) > 0).map(|t| (t, ())).collect();
+        let shards = if self.options.input_shards == 0 { n } else { self.options.input_shards };
+        let io = self.telemetry.job_phase(&format!("{dir}-io"), "distribute-input");
+        let shards = shards.min(tasks.len().max(1));
+        let inputs = write_sharded(self.cluster, &format!("{dir}/tasks"), shards, tasks)?;
+        drop(io);
+        let job = self.run(
+            JobSpec::new(
+                format!("{dir}-broadcast-evaluate-aggregate"),
+                inputs,
+                format!("{dir}/out"),
+                BroadcastMapper::<T, R> { eval: self.evaluator(Arc::new(scheme.clone())) },
+                AggregateReducer::<T, R> {
+                    aggregator: Arc::clone(aggregator),
+                    _pd: std::marker::PhantomData,
+                },
+                auto(n, scheme.v(), self.options.reducers_job2),
+            )
+            .cache_file("dataset", self.store.dataset_bytes()),
+        )?;
+        let out = self.collect(dir, "collect-output", &format!("{dir}/out"), &Merge::Final)?;
+        Ok((out, MrRunReport::new(self.cluster, job, None, false, wire_start)))
+    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,7 @@
 use std::sync::Arc;
 
 use pmr_cluster::{Cluster, ClusterConfig};
-use pmr_core::runner::local::run_local;
-use pmr_core::runner::sequential::run_sequential;
-use pmr_core::runner::{comp_fn, Backend, CompFn, ConcatSort, PairwiseJob, Symmetry};
+use pmr_core::runner::{comp_fn, Backend, CompFn, PairwiseJob, PairwiseOutput, PairwiseRun};
 use pmr_core::scheme::{
     measure, verify_exactly_once, BlockScheme, BroadcastScheme, DesignScheme, DistributionScheme,
     PairedBlockScheme,
@@ -18,10 +16,27 @@ fn comp() -> CompFn<u64, u64> {
     comp_fn(|a: &u64, b: &u64| a + b)
 }
 
+fn sequential(data: &[u64]) -> PairwiseOutput<u64> {
+    PairwiseJob::new(data, comp()).run().unwrap().output
+}
+
+fn local(
+    data: &[u64],
+    scheme: Arc<dyn DistributionScheme>,
+    comp: CompFn<u64, u64>,
+    threads: usize,
+) -> PairwiseRun<u64> {
+    PairwiseJob::new(data, comp)
+        .scheme_arc(scheme)
+        .backend(Backend::Local { threads })
+        .run()
+        .unwrap()
+}
+
 #[test]
 fn v_equals_2_all_schemes_and_backends() {
     let data = vec![10u64, 20];
-    let reference = run_sequential(&data, &comp(), Symmetry::Symmetric, &ConcatSort);
+    let reference = sequential(&data);
     assert_eq!(reference.results_of(0).unwrap(), &[(1, 30)]);
 
     let schemes: Vec<Arc<dyn DistributionScheme>> = vec![
@@ -34,9 +49,8 @@ fn v_equals_2_all_schemes_and_backends() {
     ];
     for scheme in schemes {
         verify_exactly_once(scheme.as_ref()).unwrap();
-        let (local, _) =
-            run_local(&data, scheme.as_ref(), &comp(), Symmetry::Symmetric, &ConcatSort, 2);
-        assert_eq!(local, reference, "local/{}", scheme.name());
+        let out = local(&data, Arc::clone(&scheme), comp(), 2).output;
+        assert_eq!(out, reference, "local/{}", scheme.name());
         let cluster = Cluster::new(ClusterConfig::with_nodes(2));
         let mr = PairwiseJob::new(&data, comp())
             .scheme_arc(Arc::clone(&scheme))
@@ -62,10 +76,10 @@ fn singer_plane_drives_the_design_scheme() {
     assert!((m.replication_factor - (q + 1) as f64).abs() < 1e-9);
 
     let data: Vec<u64> = (0..v).map(|i| i * 3 % 17).collect();
-    let reference = run_sequential(&data, &comp(), Symmetry::Symmetric, &ConcatSort);
-    let (out, stats) = run_local(&data, &scheme, &comp(), Symmetry::Symmetric, &ConcatSort, 4);
-    assert_eq!(out, reference);
-    assert_eq!(stats.evaluations, v * (v - 1) / 2);
+    let reference = sequential(&data);
+    let run = local(&data, Arc::new(scheme), comp(), 4);
+    assert_eq!(run.output, reference);
+    assert_eq!(run.evaluations(), v * (v - 1) / 2);
 }
 
 #[test]
@@ -77,15 +91,15 @@ fn pg2_prime_power_plane_drives_the_design_scheme() {
     let scheme = DesignScheme::from_design(plane, 8);
     verify_exactly_once(&scheme).unwrap();
     let data: Vec<u64> = (0..v).collect();
-    let (out, _) = run_local(&data, &scheme, &comp(), Symmetry::Symmetric, &ConcatSort, 4);
-    let reference = run_sequential(&data, &comp(), Symmetry::Symmetric, &ConcatSort);
+    let out = local(&data, Arc::new(scheme), comp(), 4).output;
+    let reference = sequential(&data);
     assert_eq!(out, reference);
 }
 
 #[test]
 fn single_node_cluster_works() {
     let data: Vec<u64> = (0..20).collect();
-    let reference = run_sequential(&data, &comp(), Symmetry::Symmetric, &ConcatSort);
+    let reference = sequential(&data);
     let cluster = Cluster::new(ClusterConfig::with_nodes(1));
     let run = PairwiseJob::new(&data, comp())
         .scheme(BlockScheme::new(20, 3))
@@ -101,7 +115,7 @@ fn single_node_cluster_works() {
 #[test]
 fn many_more_nodes_than_elements() {
     let data: Vec<u64> = (0..6).collect();
-    let reference = run_sequential(&data, &comp(), Symmetry::Symmetric, &ConcatSort);
+    let reference = sequential(&data);
     let cluster = Cluster::new(ClusterConfig::with_nodes(16));
     let out = PairwiseJob::new(&data, comp())
         .scheme(DesignScheme::new(6))
@@ -118,8 +132,7 @@ fn constant_payloads_and_zero_results() {
     // every (other, 0) entry.
     let data = vec![5u64; 12];
     let c: CompFn<u64, u64> = comp_fn(|a: &u64, b: &u64| a.abs_diff(*b));
-    let (out, _) =
-        run_local(&data, &DesignScheme::new(12), &c, Symmetry::Symmetric, &ConcatSort, 2);
+    let out = local(&data, Arc::new(DesignScheme::new(12)), c, 2).output;
     assert_eq!(out.total_results(), 12 * 11);
     assert!(out.per_element.iter().all(|(_, rs)| rs.iter().all(|(_, r)| *r == 0)));
 }

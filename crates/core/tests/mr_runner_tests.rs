@@ -6,9 +6,8 @@ use std::sync::Arc;
 
 use pmr_cluster::{Cluster, ClusterConfig, ClusterError};
 use pmr_core::runner::mr::MrPairwiseOptions;
-use pmr_core::runner::sequential::run_sequential;
 use pmr_core::runner::{
-    comp_fn, Backend, CompFn, ConcatSort, FilterAggregator, PairwiseJob, Symmetry,
+    comp_fn, Backend, CompFn, FilterAggregator, PairwiseJob, PairwiseOutput, Symmetry,
 };
 use pmr_core::scheme::{BlockScheme, BroadcastScheme, DesignScheme, DistributionScheme};
 use pmr_mapreduce::MrError;
@@ -21,11 +20,15 @@ fn comp() -> CompFn<u64, u64> {
     comp_fn(|a: &u64, b: &u64| a.abs_diff(*b))
 }
 
+fn sequential(data: &[u64]) -> PairwiseOutput<u64> {
+    PairwiseJob::new(data, comp()).run().unwrap().output
+}
+
 #[test]
 fn two_job_pipeline_matches_sequential_for_all_schemes() {
     let v = 30usize;
     let data = payloads(v);
-    let reference = run_sequential(&data, &comp(), Symmetry::Symmetric, &ConcatSort);
+    let reference = sequential(&data);
 
     let schemes: Vec<Arc<dyn DistributionScheme>> = vec![
         Arc::new(BroadcastScheme::new(v as u64, 4)),
@@ -54,7 +57,7 @@ fn two_job_pipeline_matches_sequential_for_all_schemes() {
 fn broadcast_single_job_matches_sequential() {
     let v = 25usize;
     let data = payloads(v);
-    let reference = run_sequential(&data, &comp(), Symmetry::Symmetric, &ConcatSort);
+    let reference = sequential(&data);
     let cluster = Cluster::new(ClusterConfig::with_nodes(3));
     let run = PairwiseJob::new(&data, comp())
         .broadcast(BroadcastScheme::new(v as u64, 6))
@@ -77,7 +80,11 @@ fn non_symmetric_mr_matches_sequential() {
     let v = 18usize;
     let data = payloads(v);
     let comp: CompFn<u64, u64> = comp_fn(|a: &u64, b: &u64| a.wrapping_mul(3).wrapping_sub(*b));
-    let reference = run_sequential(&data, &comp, Symmetry::NonSymmetric, &ConcatSort);
+    let reference = PairwiseJob::new(&data, comp.clone())
+        .symmetry(Symmetry::NonSymmetric)
+        .run()
+        .unwrap()
+        .output;
     let cluster = Cluster::new(ClusterConfig::with_nodes(3));
     let run = PairwiseJob::new(&data, comp)
         .scheme(BlockScheme::new(v as u64, 3))
@@ -101,12 +108,11 @@ fn filter_aggregator_prunes_in_job2() {
         .run()
         .unwrap()
         .output;
-    let reference = run_sequential(
-        &data,
-        &comp(),
-        Symmetry::Symmetric,
-        &FilterAggregator::new(|r: &u64| *r < 10),
-    );
+    let reference = PairwiseJob::new(&data, comp())
+        .aggregator(FilterAggregator::new(|r: &u64| *r < 10))
+        .run()
+        .unwrap()
+        .output;
     assert_eq!(out, reference);
     assert!(out.total_results() < v * (v - 1));
 }
@@ -241,7 +247,7 @@ fn memory_overhead_factor_tightens_budget() {
 fn mr_under_injected_failures_still_correct() {
     let v = 24usize;
     let data = payloads(v);
-    let reference = run_sequential(&data, &comp(), Symmetry::Symmetric, &ConcatSort);
+    let reference = sequential(&data);
     let cluster = Cluster::new(ClusterConfig::with_nodes(3).failure_probability(0.25).seed(99));
     let run = PairwiseJob::new(&data, comp())
         .scheme(BlockScheme::new(v as u64, 4))
@@ -280,7 +286,7 @@ fn store_moves_ids_but_charges_payloads() {
     let v = 30usize;
     let data = payloads(v);
     let store = pmr_core::runner::ElementStore::from_slice(&data);
-    let reference = run_sequential(&data, &comp(), Symmetry::Symmetric, &ConcatSort);
+    let reference = sequential(&data);
 
     let cluster = Cluster::new(ClusterConfig::with_nodes(3));
     let run = PairwiseJob::from_store(Arc::clone(&store), comp())

@@ -4,13 +4,12 @@
 use proptest::prelude::*;
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pmr_core::analysis::limits::{design_curve_fits, max_v_design};
 use pmr_core::enumeration::{diag_rank, diag_unrank, pair_count, pair_rank, pair_unrank};
 use pmr_core::hierarchical::{verify_rounds_exactly_once, BatchedDesign, TwoLevelBlock};
-use pmr_core::runner::local::run_local;
-use pmr_core::runner::sequential::run_sequential;
-use pmr_core::runner::{comp_fn, CompFn, ConcatSort, Symmetry};
+use pmr_core::runner::{comp_fn, Backend, CompFn, PairwiseJob};
 use pmr_core::scheme::{
     measure, verify_exactly_once, BlockScheme, BroadcastScheme, DesignScheme, DistributionScheme,
     PairedBlockScheme, QuorumScheme,
@@ -186,19 +185,22 @@ proptest! {
     ) {
         let v = data.len() as u64;
         let comp: CompFn<i64, i64> = comp_fn(|a: &i64, b: &i64| (a - b).abs());
-        let reference = run_sequential(&data, &comp, Symmetry::Symmetric, &ConcatSort);
+        let reference = PairwiseJob::new(&data, comp.clone()).run().unwrap().output;
 
-        let schemes: Vec<Box<dyn DistributionScheme>> = vec![
-            Box::new(BroadcastScheme::new(v, h + 1)),
-            Box::new(BlockScheme::new(v, h)),
-            Box::new(DesignScheme::new(v)),
-            Box::new(QuorumScheme::new(v)),
+        let schemes: Vec<Arc<dyn DistributionScheme>> = vec![
+            Arc::new(BroadcastScheme::new(v, h + 1)),
+            Arc::new(BlockScheme::new(v, h)),
+            Arc::new(DesignScheme::new(v)),
+            Arc::new(QuorumScheme::new(v)),
         ];
         for s in &schemes {
-            let (out, stats) =
-                run_local(&data, s.as_ref(), &comp, Symmetry::Symmetric, &ConcatSort, threads);
-            prop_assert_eq!(&out, &reference, "scheme {}", s.name());
-            prop_assert_eq!(stats.evaluations, pair_count(v));
+            let run = PairwiseJob::new(&data, comp.clone())
+                .scheme_arc(Arc::clone(s))
+                .backend(Backend::Local { threads })
+                .run()
+                .unwrap();
+            prop_assert_eq!(&run.output, &reference, "scheme {}", s.name());
+            prop_assert_eq!(run.evaluations(), pair_count(v));
         }
     }
 

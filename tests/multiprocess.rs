@@ -149,3 +149,33 @@ fn tcp_socket_mode_matches_uds() {
     assert_eq!(a.mr[0].shuffle_bytes, b.mr[0].shuffle_bytes);
     assert_eq!(a.mr[0].wire.shuffle_bytes, b.mr[0].wire.shuffle_bytes);
 }
+
+/// §7 rounds over real worker processes: bit-identical to in-process, each
+/// round's socket shuffle bytes equal its moved counter, and the store is
+/// shipped to the workers once per run, not once per round.
+#[test]
+fn rounds_over_worker_processes_match_in_process() {
+    let (points, _) = gaussian_clusters(24, 3, 2, 0.5, 3);
+    let v = points.len() as u64;
+    for fuse in [true, false] {
+        let run = |cluster: &Cluster| {
+            let rounds = pairwise_mr::core::hierarchical::TwoLevelBlock::new(v, 2, 2).rounds();
+            PairwiseJob::new(&points, euclidean_comp())
+                .rounds(rounds.into_iter().map(Arc::from).collect())
+                .backend(Backend::Mr(cluster))
+                .fuse(fuse)
+                .run()
+                .expect("rounds run")
+        };
+        let a = run(&Cluster::new(ClusterConfig::with_nodes(3)));
+        let b = run(&Cluster::try_new(process_config(3)).expect("spawn workers"));
+        assert_eq!(a.output, b.output, "fuse={fuse}");
+        assert_eq!(b.mr.len(), 3, "fuse={fuse}");
+        for (ra, rb) in a.mr.iter().zip(&b.mr) {
+            assert_eq!(ra.shuffle_bytes, rb.shuffle_bytes, "fuse={fuse}");
+            assert_eq!(rb.wire.shuffle_bytes, rb.shuffle_moved_bytes, "fuse={fuse}");
+        }
+        let seeded: Vec<u64> = b.mr.iter().map(|r| r.wire.seed_bytes).collect();
+        assert!(seeded[0] > 0 && seeded[1..].iter().all(|&s| s == 0), "seeded once: {seeded:?}");
+    }
+}
