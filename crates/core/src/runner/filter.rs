@@ -9,8 +9,8 @@
 //! kernel sees them, so non-candidate pairs are never resolved, never
 //! buffered into a tile, and never evaluated.
 //!
-//! The filter sits at exactly one seam — the `for_each_pair` stream each
-//! runner hands to `evaluate_tiled` (the private tiling entry point)
+//! The filter sits at exactly one seam — the `for_each_pair` stream
+//! inside `evaluate_task`, the one evaluation function every backend runs
 //! — which is why all schemes, batch kernels, fused aggregation, and all
 //! backends (sequential/local/MR/process) work unchanged. Distribution,
 //! replication, and working-set validation are untouched: the charged cost
