@@ -38,15 +38,34 @@
 //! Per-attempt histograms (group sizes, shuffle bytes per partition) are
 //! recorded as attempts run, so under speculation a losing attempt may
 //! contribute observations; counters never do.
+//!
+//! # Scheduling
+//!
+//! Both phases run through one phase runner and one attempt driver; a
+//! phase supplies only data (slot count, attempt counter, task kind) and
+//! closures for its task body and its winner-only publish step. Each node
+//! keeps a FIFO of its tasks; idle workers park on a wake epoch that every
+//! commit, requeue, drained dead node and error advances. A worker
+//! snapshots the epoch *before* checking the error flag, its node's
+//! liveness and its queue, and parks only while the epoch still equals
+//! that snapshot — so a wake landing between any check and the park is
+//! never lost. A panic in user map or reduce code is caught per attempt
+//! and becomes `MrError::User("<attempt id> panicked: <message>")`, which
+//! takes the normal error path: the job fails with it, and no worker is
+//! left parked.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
-use pmr_cluster::{Cluster, ClusterError, MemoryGauge, NodeId, TaskAttemptId, TaskKind};
+use pmr_cluster::{
+    Cluster, ClusterError, InputSplit, MemoryGauge, NodeId, TaskAttemptId, TaskKind,
+};
 use pmr_obs::{hist, Span, SpanKind, Telemetry};
 
 use crate::api::{MapContext, Mapper, ReduceContext, Reducer, TaskCache, Values};
@@ -100,8 +119,9 @@ struct PhaseBoard {
     running: Mutex<Vec<(usize, u32, Instant)>>,
     /// Wake epoch: advanced (under the lock) by every event a parked
     /// worker must observe — a commit, a requeued task, a drained dead
-    /// node, a phase error. Workers snapshot it before scanning for work
-    /// and park only while it is unchanged, so no wake is ever lost.
+    /// node, a phase error. Workers snapshot it before checking for an
+    /// error, a dead node or work, and park only while it is unchanged,
+    /// so no wake is ever lost.
     epoch: Mutex<u64>,
     /// Parked idle workers wait here; `wake_all` rouses them to re-scan.
     parked: Condvar,
@@ -130,8 +150,8 @@ impl PhaseBoard {
         }
     }
 
-    /// Snapshot of the wake epoch, taken *before* scanning for work so a
-    /// wake landing between a failed scan and the park is never lost —
+    /// Snapshot of the wake epoch, taken *before* any check so a wake
+    /// landing between a check and the park is never lost —
     /// `park` returns immediately when the epoch has already moved on.
     fn wake_epoch(&self) -> u64 {
         *self.epoch.lock()
@@ -255,12 +275,65 @@ fn commit_scratch(counters: &Counters, scratch: &Counters) {
     }
 }
 
-/// Result of a reduce-task body, held back until the attempt wins commit.
+/// Output of a reduce-task body, held back until the attempt wins commit.
 struct ReduceDone {
-    out: bytes::Bytes,
+    out: Bytes,
     offsets: Vec<u64>,
-    span: Span,
+    /// End of the body's last lap; the committer laps `"write"` from here.
     lap_at: Instant,
+}
+
+/// The text of a panic payload (`panic!` yields `&str` or `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s,
+        None => payload.downcast_ref::<String>().map_or("non-string payload", String::as_str),
+    }
+}
+
+/// What the shared phase runner and attempt driver need to know about a
+/// phase. Data only: phase-specific behaviour comes in through closures.
+struct Phase<'b> {
+    board: &'b PhaseBoard,
+    kind: TaskKind,
+    /// `"map"` or `"reduce"`, as it appears in event texts and task names.
+    word: &'static str,
+    /// Worker threads per node.
+    slots: usize,
+    /// Counter bumped once per started attempt.
+    attempts: &'static str,
+}
+
+/// One job's state, shared by every worker of both phases.
+struct Job<'j, M, R>
+where
+    M: Mapper,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    cluster: &'j Cluster,
+    jid: u32,
+    spec: &'j JobSpec<M, R>,
+    counters: Counters,
+    cache_prefix: String,
+    splits: Vec<InputSplit>,
+    /// Per-(map task, partition) extra charge billed via `emit_charged`:
+    /// bytes the cost model prices into the shuffle transfer of that
+    /// partition even though they are never materialized. Published at
+    /// commit (and idempotently re-published by recovery re-runs — the
+    /// values are a deterministic function of the task), read by reduce
+    /// tasks.
+    charges: Vec<AtomicU64>,
+    /// Node each map task's committed output lives on: initialized to the
+    /// assignment, overwritten by the winning attempt's node and by
+    /// recovery re-runs.
+    map_sites: Vec<AtomicU32>,
+    map_board: PhaseBoard,
+    /// Serializes recovery of one lost map output; re-runs continue the
+    /// map task's attempt numbering.
+    recovery: Vec<Mutex<()>>,
+    /// The job's first error; once set, every worker of the running phase
+    /// exits and no later phase starts.
+    error: Mutex<Option<MrError>>,
 }
 
 impl<'c> Engine<'c> {
@@ -370,111 +443,50 @@ impl<'c> Engine<'c> {
         drop(phase);
         phase = telemetry.job_phase(&spec.name, "map");
         let num_maps = splits.len();
-        // Per-(map task, partition) extra charge billed via `emit_charged`:
-        // bytes the cost model prices into the shuffle transfer of that
-        // partition even though they are never materialized. Published at
-        // commit (and idempotently re-published by recovery re-runs — the
-        // values are a deterministic function of the task), read by reduce
-        // tasks.
-        let charges: Vec<AtomicU64> =
-            (0..num_maps * spec.num_reducers).map(|_| AtomicU64::new(0)).collect();
-        // Node each map task's committed output lives on: initialized to
-        // the assignment, overwritten by the winning attempt's node and by
-        // recovery re-runs.
-        let map_sites: Vec<AtomicU32> =
-            map_assignment.iter().map(|&nd| AtomicU32::new(nd as u32)).collect();
-        let error: Mutex<Option<MrError>> = Mutex::new(None);
-        let map_board = PhaseBoard::new(n, &map_assignment);
-        crossbeam::thread::scope(|scope| {
-            for node_idx in 0..n {
-                for _slot in 0..cluster.config().node.map_slots.max(1) {
-                    let board = &map_board;
-                    let error = &error;
-                    let splits = &splits;
-                    let spec = &spec;
-                    let counters = &counters;
-                    let cache_prefix = &cache_prefix;
-                    let charges = &charges;
-                    let map_sites = &map_sites;
-                    scope.spawn(move |_| {
-                        let me = NodeId(node_idx as u32);
-                        loop {
-                            if error.lock().is_some() {
-                                return;
-                            }
-                            if !cluster.is_alive(me) {
-                                board.drain_dead(cluster, node_idx);
-                                return;
-                            }
-                            let seen = board.wake_epoch();
-                            let popped = board.queues[node_idx].lock().pop_front();
-                            let (task, is_backup) = match popped {
-                                Some(t) => (t, false),
-                                None => {
-                                    if board.remaining.load(Ordering::SeqCst) == 0 {
-                                        return;
-                                    }
-                                    let mult = cluster.config().speculation_multiplier;
-                                    match mult.and_then(|m| board.pick_speculation(node_idx, m)) {
-                                        Some(t) => (t, true),
-                                        None => {
-                                            board.park(seen, mult.map(|_| SPECULATION_RECHECK));
-                                            continue;
-                                        }
-                                    }
-                                }
-                            };
-                            if is_backup {
-                                counters.inc(builtin::SPECULATIVE_LAUNCHED);
-                                cluster.telemetry().event(
-                                    "speculative.launch",
-                                    format!("backup attempt of map task {task} on {me}"),
-                                );
-                            }
-                            let r = self.drive_map(
-                                jid,
-                                task,
-                                me,
-                                is_backup,
-                                board,
-                                &splits[task],
-                                spec,
-                                counters,
-                                cache_prefix,
-                                charges,
-                                map_sites,
-                            );
-                            match r {
-                                Ok(()) => {}
-                                Err(MrError::Cluster(ClusterError::NodeDead(_))) => {
-                                    board.requeue_on_live(cluster, task);
-                                }
-                                Err(e) => {
-                                    let mut guard = error.lock();
-                                    if guard.is_none() {
-                                        *guard = Some(e);
-                                    }
-                                    drop(guard);
-                                    board.wake_all();
-                                    return;
-                                }
-                            }
-                            // The attempt may have committed (remaining
-                            // moved), requeued work, or triggered a chaos
-                            // crash via task-completion accounting — parked
-                            // workers must re-scan either way.
-                            board.wake_all();
-                        }
-                    });
-                }
+        let job = Job {
+            cluster,
+            jid,
+            spec: &spec,
+            counters,
+            cache_prefix,
+            splits,
+            charges: (0..num_maps * spec.num_reducers).map(|_| AtomicU64::new(0)).collect(),
+            map_sites: map_assignment.iter().map(|&nd| AtomicU32::new(nd as u32)).collect(),
+            map_board: PhaseBoard::new(n, &map_assignment),
+            recovery: (0..num_maps).map(|_| Mutex::new(())).collect(),
+            error: Mutex::new(None),
+        };
+        let map = Phase {
+            board: &job.map_board,
+            kind: TaskKind::Map,
+            word: "map",
+            slots: cluster.config().node.map_slots.max(1),
+            attempts: builtin::MAP_TASK_ATTEMPTS,
+        };
+        job.run_phase(&map, |task, me, is_backup| {
+            let won = job.drive(
+                &map,
+                task,
+                me,
+                is_backup,
+                |attempt, scratch| job.map_body(task, attempt, me, scratch, cluster.telemetry()),
+                |partition_charges, _| {
+                    let task_charge = job.publish_map_output(task, me, &partition_charges);
+                    cluster.charge_intermediate(task_charge);
+                    Ok(())
+                },
+            )?;
+            if won {
+                cluster.check_intermediate_capacity()?;
             }
-        })
-        .expect("map worker panicked");
-        let charged_total: u64 = charges.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        if let Some(e) = error.lock().take() {
+            Ok(())
+        });
+        let charged_total: u64 = job.charges.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        if let Some(e) = job.error.lock().take() {
             self.cleanup(jid, charged_total);
             return Err(e);
         }
+        let counters = &job.counters;
         phase.add_bytes(
             counters.get(builtin::MAP_OUTPUT_BYTES),
             counters.get(builtin::MAP_OUTPUT_MOVED_BYTES),
@@ -490,97 +502,34 @@ impl<'c> Engine<'c> {
         phase = telemetry.job_phase(&spec.name, "reduce");
         let reduce_assignment: Vec<usize> = (0..spec.num_reducers).map(|r| r % n).collect();
         let reduce_board = PhaseBoard::new(n, &reduce_assignment);
-        // Serializes recovery of one lost map output; re-runs continue the
-        // map task's attempt numbering.
-        let recovery: Vec<Mutex<()>> = (0..num_maps).map(|_| Mutex::new(())).collect();
-        crossbeam::thread::scope(|scope| {
-            for node_idx in 0..n {
-                for _slot in 0..cluster.config().node.reduce_slots.max(1) {
-                    let board = &reduce_board;
-                    let map_board = &map_board;
-                    let error = &error;
-                    let splits = &splits;
-                    let spec = &spec;
-                    let counters = &counters;
-                    let cache_prefix = &cache_prefix;
-                    let charges = &charges;
-                    let map_sites = &map_sites;
-                    let recovery = &recovery;
-                    scope.spawn(move |_| {
-                        let me = NodeId(node_idx as u32);
-                        loop {
-                            if error.lock().is_some() {
-                                return;
-                            }
-                            if !cluster.is_alive(me) {
-                                board.drain_dead(cluster, node_idx);
-                                return;
-                            }
-                            let seen = board.wake_epoch();
-                            let popped = board.queues[node_idx].lock().pop_front();
-                            let (task, is_backup) = match popped {
-                                Some(t) => (t, false),
-                                None => {
-                                    if board.remaining.load(Ordering::SeqCst) == 0 {
-                                        return;
-                                    }
-                                    let mult = cluster.config().speculation_multiplier;
-                                    match mult.and_then(|m| board.pick_speculation(node_idx, m)) {
-                                        Some(t) => (t, true),
-                                        None => {
-                                            board.park(seen, mult.map(|_| SPECULATION_RECHECK));
-                                            continue;
-                                        }
-                                    }
-                                }
-                            };
-                            if is_backup {
-                                counters.inc(builtin::SPECULATIVE_LAUNCHED);
-                                cluster.telemetry().event(
-                                    "speculative.launch",
-                                    format!("backup attempt of reduce task {task} on {me}"),
-                                );
-                            }
-                            let r = self.drive_reduce(
-                                jid,
-                                task,
-                                me,
-                                is_backup,
-                                board,
-                                map_board,
-                                num_maps,
-                                splits,
-                                spec,
-                                counters,
-                                cache_prefix,
-                                charges,
-                                map_sites,
-                                recovery,
-                            );
-                            match r {
-                                Ok(()) => {}
-                                Err(MrError::Cluster(ClusterError::NodeDead(_))) => {
-                                    board.requeue_on_live(cluster, task);
-                                }
-                                Err(e) => {
-                                    let mut guard = error.lock();
-                                    if guard.is_none() {
-                                        *guard = Some(e);
-                                    }
-                                    drop(guard);
-                                    board.wake_all();
-                                    return;
-                                }
-                            }
-                            // See the map loop: parked workers re-scan
-                            // after every attempt resolution.
-                            board.wake_all();
-                        }
-                    });
-                }
-            }
-        })
-        .expect("reduce worker panicked");
+        let reduce = Phase {
+            board: &reduce_board,
+            kind: TaskKind::Reduce,
+            word: "reduce",
+            slots: cluster.config().node.reduce_slots.max(1),
+            attempts: builtin::REDUCE_TASK_ATTEMPTS,
+        };
+        job.run_phase(&reduce, |task, me, is_backup| {
+            job.drive(
+                &reduce,
+                task,
+                me,
+                is_backup,
+                |attempt, scratch| job.reduce_body(task, attempt, me, scratch),
+                |mut done, span| {
+                    // Only the winner touches the DFS output path, so a
+                    // losing sibling can never clobber or merge into
+                    // committed output. The delete keeps re-running a whole
+                    // job over the same output directory idempotent.
+                    let path = format!("{}/part-{task:05}", spec.output);
+                    cluster.dfs().delete(&path);
+                    cluster.dfs().create_with_records(&path, done.out, Some(done.offsets))?;
+                    span.lap("write", &mut done.lap_at);
+                    Ok(())
+                },
+            )
+            .map(drop)
+        });
         phase.add_bytes(
             counters.get(builtin::SHUFFLE_BYTES),
             counters.get(builtin::SHUFFLE_MOVED_BYTES),
@@ -592,7 +541,7 @@ impl<'c> Engine<'c> {
         // with tracing disabled).
         cluster.drain_worker_traces();
         self.cleanup(jid, charged_total);
-        if let Some(e) = error.lock().take() {
+        if let Some(e) = job.error.lock().take() {
             return Err(e);
         }
 
@@ -623,45 +572,125 @@ impl<'c> Engine<'c> {
         }
         self.cluster.uncharge_intermediate(charged);
     }
+}
 
-    /// Retry wrapper + commit protocol of one map task on one node.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_map<M, R>(
+impl<M, R> Job<'_, M, R>
+where
+    M: Mapper,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    /// Runs one phase to completion: `phase.slots` workers per node pop
+    /// their node's queue, back up stragglers when speculation is on, and
+    /// park when idle; `run_task(task, node, is_backup)` runs one task on
+    /// one node. The first error is recorded in `self.error` and ends the
+    /// phase. A dead node's workers hand its queue to live nodes, and a
+    /// task whose node died under it is requeued.
+    fn run_phase(
         &self,
-        jid: u32,
+        phase: &Phase<'_>,
+        run_task: impl Fn(usize, NodeId, bool) -> Result<()> + Sync,
+    ) {
+        let (cluster, board) = (self.cluster, phase.board);
+        crossbeam::thread::scope(|scope| {
+            for node_idx in 0..cluster.num_nodes() {
+                for _slot in 0..phase.slots {
+                    let run_task = &run_task;
+                    scope.spawn(move |_| {
+                        let me = NodeId(node_idx as u32);
+                        loop {
+                            // Snapshot first, check second: a wake (a
+                            // sibling's error, a requeue, a commit) landing
+                            // after any check below has moved the epoch
+                            // past `seen`, so `park` returns at once.
+                            let seen = board.wake_epoch();
+                            if self.error.lock().is_some() {
+                                return;
+                            }
+                            if !cluster.is_alive(me) {
+                                board.drain_dead(cluster, node_idx);
+                                return;
+                            }
+                            let popped = board.queues[node_idx].lock().pop_front();
+                            let (task, is_backup) = match popped {
+                                Some(t) => (t, false),
+                                None => {
+                                    if board.remaining.load(Ordering::SeqCst) == 0 {
+                                        return;
+                                    }
+                                    let mult = cluster.config().speculation_multiplier;
+                                    match mult.and_then(|m| board.pick_speculation(node_idx, m)) {
+                                        Some(t) => (t, true),
+                                        None => {
+                                            board.park(seen, mult.map(|_| SPECULATION_RECHECK));
+                                            continue;
+                                        }
+                                    }
+                                }
+                            };
+                            if is_backup {
+                                self.counters.inc(builtin::SPECULATIVE_LAUNCHED);
+                                cluster.telemetry().event(
+                                    "speculative.launch",
+                                    format!("backup attempt of {} task {task} on {me}", phase.word),
+                                );
+                            }
+                            match run_task(task, me, is_backup) {
+                                Ok(()) => {}
+                                Err(MrError::Cluster(ClusterError::NodeDead(_))) => {
+                                    board.requeue_on_live(cluster, task);
+                                }
+                                Err(e) => {
+                                    self.error.lock().get_or_insert(e);
+                                    board.wake_all();
+                                    return;
+                                }
+                            }
+                            // The attempt may have committed (remaining
+                            // moved), requeued work, or triggered a chaos
+                            // crash via task-completion accounting — parked
+                            // workers must re-scan either way.
+                            board.wake_all();
+                        }
+                    });
+                }
+            }
+        })
+        .unwrap_or_else(|_| panic!("{} worker panicked", phase.word));
+    }
+
+    /// Retry wrapper + commit protocol of one task on one node, for both
+    /// phases. `body(attempt, scratch)` runs one attempt and returns its
+    /// output and still-open span; a panic in it becomes a
+    /// `MrError::User` and takes the normal error path. `publish` runs for
+    /// the winning attempt only, before its counters commit. Returns
+    /// whether this call committed the task.
+    fn drive<T>(
+        &self,
+        phase: &Phase<'_>,
         task: usize,
         me: NodeId,
         is_backup: bool,
-        board: &PhaseBoard,
-        split: &pmr_cluster::InputSplit,
-        spec: &JobSpec<M, R>,
-        counters: &Counters,
-        cache_prefix: &str,
-        charges: &[AtomicU64],
-        map_sites: &[AtomicU32],
-    ) -> Result<()>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
-        let cluster = self.cluster;
+        mut body: impl FnMut(u32, &Counters) -> Result<(T, Span)>,
+        publish: impl FnOnce(T, &mut Span) -> Result<()>,
+    ) -> Result<bool> {
+        let (cluster, board) = (self.cluster, phase.board);
         let max_attempts = cluster.config().max_task_attempts.max(1);
         loop {
             if !board.is_open(task) {
-                return Ok(()); // a sibling attempt already committed
+                return Ok(false); // a sibling attempt already committed
             }
             if !cluster.is_alive(me) {
                 return Err(ClusterError::NodeDead(me).into());
             }
             let attempt = board.next_attempt[task].fetch_add(1, Ordering::SeqCst);
-            counters.inc(builtin::MAP_TASK_ATTEMPTS);
-            let aid = TaskAttemptId { job: jid, kind: TaskKind::Map, task: task as u32, attempt };
+            self.counters.inc(phase.attempts);
+            let aid = TaskAttemptId { job: self.jid, kind: phase.kind, task: task as u32, attempt };
             if cluster.injector().should_fail(aid) {
-                counters.inc(builtin::FAILED_ATTEMPTS);
+                self.counters.inc(builtin::FAILED_ATTEMPTS);
                 let fails = board.failures[task].fetch_add(1, Ordering::SeqCst) + 1;
                 if fails >= max_attempts {
                     return Err(MrError::TaskFailed {
-                        task: format!("job{jid}/map{task}"),
+                        task: format!("job{}/{}{task}", self.jid, phase.word),
                         attempts: max_attempts,
                     });
                 }
@@ -670,69 +699,59 @@ impl<'c> Engine<'c> {
             let run_started = Instant::now();
             board.note_start(task, me.0, run_started);
             let scratch = Counters::new();
-            let body = self.map_body(
-                jid,
-                task as u32,
-                attempt,
-                me,
-                split,
-                spec,
-                &scratch,
-                cache_prefix,
-                cluster.telemetry(),
-            );
+            let done =
+                catch_unwind(AssertUnwindSafe(|| body(attempt, &scratch))).unwrap_or_else(|p| {
+                    Err(MrError::User(format!("{aid} panicked: {}", panic_message(&*p))))
+                });
             board.note_end(task, me.0);
-            let (partition_charges, mut span) = body?;
-            if board.try_win(task, attempt) {
-                let mut task_charge = 0u64;
-                for (p, c) in partition_charges.iter().enumerate() {
-                    charges[task * spec.num_reducers + p].store(*c, Ordering::Relaxed);
-                    task_charge += c;
-                }
-                cluster.charge_intermediate(task_charge);
-                map_sites[task].store(me.0, Ordering::SeqCst);
-                commit_scratch(counters, &scratch);
-                drop(span);
-                board.finish(run_started.elapsed().as_micros() as u64);
-                if is_backup {
-                    counters.inc(builtin::SPECULATIVE_WON);
-                    cluster
-                        .telemetry()
-                        .event("speculative.win", format!("backup of map task {task} won on {me}"));
-                }
-                let _ = cluster.note_task_completion();
-                cluster.check_intermediate_capacity()?;
-            } else {
+            let (out, mut span) = done?;
+            if !board.try_win(task, attempt) {
                 span.cancel();
+                return Ok(false);
             }
-            return Ok(());
+            publish(out, &mut span)?;
+            commit_scratch(&self.counters, &scratch);
+            drop(span);
+            board.finish(run_started.elapsed().as_micros() as u64);
+            if is_backup {
+                self.counters.inc(builtin::SPECULATIVE_WON);
+                cluster.telemetry().event(
+                    "speculative.win",
+                    format!("backup of {} task {task} won on {me}", phase.word),
+                );
+            }
+            let _ = cluster.note_task_completion();
+            return Ok(true);
         }
+    }
+
+    /// Records map task `task`'s output as living on `node` with the given
+    /// per-partition charges, and returns their total. Used by the commit
+    /// and by recovery re-runs.
+    fn publish_map_output(&self, task: usize, node: NodeId, partition_charges: &[u64]) -> u64 {
+        for (p, c) in partition_charges.iter().enumerate() {
+            self.charges[task * self.spec.num_reducers + p].store(*c, Ordering::Relaxed);
+        }
+        self.map_sites[task].store(node.0, Ordering::SeqCst);
+        partition_charges.iter().sum()
     }
 
     /// Body of one map attempt: read split, map, spill-merge, sort,
     /// combine, write partition files to the local store. Returns the
     /// per-partition extra charges and the (still-open) task span; nothing
     /// globally visible is published here — that is the committer's job.
-    #[allow(clippy::too_many_arguments)]
-    fn map_body<M, R>(
+    fn map_body(
         &self,
-        jid: u32,
-        task: u32,
+        task: usize,
         attempt: u32,
         node_id: NodeId,
-        split: &pmr_cluster::InputSplit,
-        spec: &JobSpec<M, R>,
         scratch: &Counters,
-        cache_prefix: &str,
         telemetry: &Telemetry,
-    ) -> Result<(Vec<u64>, Span)>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
-        let cluster = self.cluster;
+    ) -> Result<(Vec<u64>, Span)> {
+        let (cluster, spec, jid) = (self.cluster, self.spec, self.jid);
+        let split = &self.splits[task];
         let node = cluster.node(node_id);
-        let mut span = telemetry.span(&spec.name, SpanKind::Map, task, attempt, node_id.0);
+        let mut span = telemetry.span(&spec.name, SpanKind::Map, task as u32, attempt, node_id.0);
         let mut lap_at = Instant::now();
         let data = cluster.dfs().read_range_from(
             &split.path,
@@ -748,7 +767,7 @@ impl<'c> Engine<'c> {
         span.lap("read", &mut lap_at);
         let mut partitions: Vec<Vec<RawRecord>> = vec![Vec::new(); spec.num_reducers];
         let cache =
-            TaskCache { node, prefix: cache_prefix.to_string(), store: spec.store.as_deref() };
+            TaskCache { node, prefix: self.cache_prefix.clone(), store: spec.store.as_deref() };
         let sink = crate::api::SpillSink {
             node,
             prefix: format!("mr/{jid}/m/{task}/spill/"),
@@ -813,8 +832,7 @@ impl<'c> Engine<'c> {
                     }
                     scratch.add(builtin::COMBINE_INPUT_RECORDS, (j - i) as u64);
                     let key = part[i].key.clone();
-                    let vals: Vec<bytes::Bytes> =
-                        part[i..j].iter().map(|r| r.value.clone()).collect();
+                    let vals: Vec<Bytes> = part[i..j].iter().map(|r| r.value.clone()).collect();
                     let combined = comb.combine(key, vals);
                     scratch.add(builtin::COMBINE_OUTPUT_RECORDS, combined.len() as u64);
                     out.extend(combined);
@@ -835,130 +853,21 @@ impl<'c> Engine<'c> {
         Ok((partition_charges, span))
     }
 
-    /// Retry wrapper + commit protocol of one reduce task on one node.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_reduce<M, R>(
-        &self,
-        jid: u32,
-        task: usize,
-        me: NodeId,
-        is_backup: bool,
-        board: &PhaseBoard,
-        map_board: &PhaseBoard,
-        num_maps: usize,
-        splits: &[pmr_cluster::InputSplit],
-        spec: &JobSpec<M, R>,
-        counters: &Counters,
-        cache_prefix: &str,
-        charges: &[AtomicU64],
-        map_sites: &[AtomicU32],
-        recovery: &[Mutex<()>],
-    ) -> Result<()>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
-        let cluster = self.cluster;
-        let max_attempts = cluster.config().max_task_attempts.max(1);
-        loop {
-            if !board.is_open(task) {
-                return Ok(());
-            }
-            if !cluster.is_alive(me) {
-                return Err(ClusterError::NodeDead(me).into());
-            }
-            let attempt = board.next_attempt[task].fetch_add(1, Ordering::SeqCst);
-            counters.inc(builtin::REDUCE_TASK_ATTEMPTS);
-            let aid =
-                TaskAttemptId { job: jid, kind: TaskKind::Reduce, task: task as u32, attempt };
-            if cluster.injector().should_fail(aid) {
-                counters.inc(builtin::FAILED_ATTEMPTS);
-                let fails = board.failures[task].fetch_add(1, Ordering::SeqCst) + 1;
-                if fails >= max_attempts {
-                    return Err(MrError::TaskFailed {
-                        task: format!("job{jid}/reduce{task}"),
-                        attempts: max_attempts,
-                    });
-                }
-                continue;
-            }
-            let run_started = Instant::now();
-            board.note_start(task, me.0, run_started);
-            let scratch = Counters::new();
-            let body = self.reduce_body(
-                jid,
-                task as u32,
-                attempt,
-                me,
-                map_board,
-                num_maps,
-                splits,
-                spec,
-                &scratch,
-                counters,
-                cache_prefix,
-                charges,
-                map_sites,
-                recovery,
-            );
-            board.note_end(task, me.0);
-            let mut done = body?;
-            if board.try_win(task, attempt) {
-                // Only the winner touches the DFS output path, so a losing
-                // sibling can never clobber or merge into committed output.
-                // The delete keeps re-running a whole job over the same
-                // output directory idempotent.
-                let path = format!("{}/part-{task:05}", spec.output);
-                cluster.dfs().delete(&path);
-                cluster.dfs().create_with_records(&path, done.out, Some(done.offsets))?;
-                done.span.lap("write", &mut done.lap_at);
-                commit_scratch(counters, &scratch);
-                drop(done.span);
-                board.finish(run_started.elapsed().as_micros() as u64);
-                if is_backup {
-                    counters.inc(builtin::SPECULATIVE_WON);
-                    cluster.telemetry().event(
-                        "speculative.win",
-                        format!("backup of reduce task {task} won on {me}"),
-                    );
-                }
-                let _ = cluster.note_task_completion();
-            } else {
-                done.span.cancel();
-            }
-            return Ok(());
-        }
-    }
-
     /// Body of one reduce attempt: shuffle (with lost-map recovery), sort,
     /// reduce. The output is returned, not written — the committer writes
     /// the DFS part file only for the winning attempt.
-    #[allow(clippy::too_many_arguments)]
-    fn reduce_body<M, R>(
+    fn reduce_body(
         &self,
-        jid: u32,
-        task: u32,
+        task: usize,
         attempt: u32,
         node_id: NodeId,
-        map_board: &PhaseBoard,
-        num_maps: usize,
-        splits: &[pmr_cluster::InputSplit],
-        spec: &JobSpec<M, R>,
         scratch: &Counters,
-        job_counters: &Counters,
-        cache_prefix: &str,
-        charges: &[AtomicU64],
-        map_sites: &[AtomicU32],
-        recovery: &[Mutex<()>],
-    ) -> Result<ReduceDone>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
-        let cluster = self.cluster;
+    ) -> Result<(ReduceDone, Span)> {
+        let (cluster, spec, jid) = (self.cluster, self.spec, self.jid);
         let node = cluster.node(node_id);
         let telemetry = cluster.telemetry();
-        let mut span = telemetry.span(&spec.name, SpanKind::Reduce, task, attempt, node_id.0);
+        let mut span =
+            telemetry.span(&spec.name, SpanKind::Reduce, task as u32, attempt, node_id.0);
         let mut lap_at = Instant::now();
 
         // Shuffle: fetch this task's partition from every map output's
@@ -970,15 +879,15 @@ impl<'c> Engine<'c> {
         // partition) triggers re-execution of the lost map task here.
         let mut records: Vec<RawRecord> = Vec::new();
         let mut fetched_bytes = 0u64;
-        for m in 0..num_maps {
+        for m in 0..self.splits.len() {
             let name = format!("mr/{jid}/m/{m}/p/{task}");
             loop {
-                let src = NodeId(map_sites[m].load(Ordering::SeqCst));
+                let src = NodeId(self.map_sites[m].load(Ordering::SeqCst));
                 match cluster.node(src).read_local(&name) {
                     Ok(data) => {
                         let moved = data.len() as u64;
                         let extra =
-                            charges[m * spec.num_reducers + task as usize].load(Ordering::Relaxed);
+                            self.charges[m * spec.num_reducers + task].load(Ordering::Relaxed);
                         scratch.add(builtin::SHUFFLE_BYTES, moved + extra);
                         scratch.add(builtin::SHUFFLE_MOVED_BYTES, moved);
                         fetched_bytes += moved + extra;
@@ -994,19 +903,7 @@ impl<'c> Engine<'c> {
                     }
                     Err(ClusterError::NoSuchFile(_)) => break, // empty partition on a live node
                     Err(ClusterError::NodeDead(_)) => {
-                        self.recover_map_output(
-                            jid,
-                            m,
-                            node_id,
-                            map_board,
-                            splits,
-                            spec,
-                            job_counters,
-                            cache_prefix,
-                            charges,
-                            map_sites,
-                            recovery,
-                        )?;
+                        self.recover_map_output(m, node_id)?;
                     }
                     Err(e) => return Err(e.into()),
                 }
@@ -1028,7 +925,7 @@ impl<'c> Engine<'c> {
         let mut out = BytesMut::new();
         let mut offsets: Vec<u64> = Vec::new();
         let cache =
-            TaskCache { node, prefix: cache_prefix.to_string(), store: spec.store.as_deref() };
+            TaskCache { node, prefix: self.cache_prefix.clone(), store: spec.store.as_deref() };
         let mut i = 0;
         while i < records.len() {
             let mut j = i + 1;
@@ -1055,7 +952,7 @@ impl<'c> Engine<'c> {
         scratch.add(builtin::REDUCE_OUTPUT_BYTES, out.len() as u64);
         span.add_bytes_out(out.len() as u64);
         span.add_records_out(offsets.len() as u64);
-        Ok(ReduceDone { out: out.freeze(), offsets, span, lap_at })
+        Ok((ReduceDone { out: out.freeze(), offsets, lap_at }, span))
     }
 
     /// Re-executes a committed map task whose output died with its node
@@ -1067,55 +964,23 @@ impl<'c> Engine<'c> {
     /// charged through the traffic accountant and storage ledgers. The
     /// per-partition charges it republishes are a deterministic function
     /// of the task, so the idempotent `store` leaves them unchanged.
-    #[allow(clippy::too_many_arguments)]
-    fn recover_map_output<M, R>(
-        &self,
-        jid: u32,
-        m: usize,
-        me: NodeId,
-        map_board: &PhaseBoard,
-        splits: &[pmr_cluster::InputSplit],
-        spec: &JobSpec<M, R>,
-        job_counters: &Counters,
-        cache_prefix: &str,
-        charges: &[AtomicU64],
-        map_sites: &[AtomicU32],
-        recovery: &[Mutex<()>],
-    ) -> Result<()>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
+    fn recover_map_output(&self, m: usize, me: NodeId) -> Result<()> {
         let cluster = self.cluster;
-        let _serialized = recovery[m].lock();
-        let site = NodeId(map_sites[m].load(Ordering::SeqCst));
+        let _serialized = self.recovery[m].lock();
+        let site = NodeId(self.map_sites[m].load(Ordering::SeqCst));
         if cluster.is_alive(site) {
             return Ok(()); // another reducer recovered it while we waited
         }
         if !cluster.is_alive(me) {
             return Err(ClusterError::NodeDead(me).into());
         }
-        job_counters.inc(builtin::MAP_RERUNS);
+        self.counters.inc(builtin::MAP_RERUNS);
         let rerun_started = Instant::now();
-        let attempt = map_board.next_attempt[m].fetch_add(1, Ordering::SeqCst);
-        let scratch = Counters::new();
-        let disabled = Telemetry::disabled();
-        let (partition_charges, span) = self.map_body(
-            jid,
-            m as u32,
-            attempt,
-            me,
-            &splits[m],
-            spec,
-            &scratch,
-            cache_prefix,
-            &disabled,
-        )?;
-        drop(span); // disabled telemetry: records nothing
-        for (p, c) in partition_charges.iter().enumerate() {
-            charges[m * spec.num_reducers + p].store(*c, Ordering::Relaxed);
-        }
-        map_sites[m].store(me.0, Ordering::SeqCst);
+        let attempt = self.map_board.next_attempt[m].fetch_add(1, Ordering::SeqCst);
+        // Disabled telemetry: the span records nothing.
+        let (partition_charges, _span) =
+            self.map_body(m, attempt, me, &Counters::new(), &Telemetry::disabled())?;
+        self.publish_map_output(m, me, &partition_charges);
         // Emitted after the re-run so the trace carries its measured
         // duration — the critical-path analyzer attributes this window
         // of the recovering reducer's shuffle to recovery.

@@ -1,5 +1,7 @@
 //! End-to-end tests of the MapReduce engine on the simulated cluster.
 
+use std::sync::mpsc::RecvTimeoutError;
+
 use bytes::Bytes;
 use pmr_cluster::{Cluster, ClusterConfig, ClusterError};
 use pmr_mapreduce::{
@@ -565,4 +567,129 @@ fn spills_count_against_node_storage() {
         .run(JobSpec::new("wc", inputs, "out", TokenizeMapper, SumReducer, 1).sort_buffer(64))
         .unwrap_err();
     assert!(matches!(err, MrError::Cluster(ClusterError::NodeStorageExceeded { .. })), "{err}");
+}
+
+/// Errors on every record, or — when `panics` is set — panics on line 0
+/// and emits word counts for the other lines.
+struct FailingMapper {
+    panics: bool,
+}
+
+impl Mapper for FailingMapper {
+    type KIn = u64;
+    type VIn = String;
+    type KOut = String;
+    type VOut = u64;
+    fn map(
+        &self,
+        line_no: u64,
+        line: String,
+        ctx: &mut MapContext<'_, String, u64>,
+    ) -> pmr_mapreduce::Result<()> {
+        if !self.panics {
+            return Err(MrError::User(format!("mapper failed on line {line_no}")));
+        }
+        if line_no == 0 {
+            panic!("mapper panicked on line {line_no}");
+        }
+        for word in line.split_whitespace() {
+            ctx.emit(word.to_string(), 1);
+        }
+        Ok(())
+    }
+}
+
+/// Errors on every group.
+struct FailingReducer;
+
+impl Reducer for FailingReducer {
+    type KIn = String;
+    type VIn = u64;
+    type KOut = String;
+    type VOut = u64;
+    fn reduce(
+        &self,
+        word: String,
+        _values: Values<'_, u64>,
+        _ctx: &mut ReduceContext<'_, String, u64>,
+    ) -> pmr_mapreduce::Result<()> {
+        Err(MrError::User(format!("reducer failed on {word}")))
+    }
+}
+
+/// Runs `jobs` jobs built by `job` on a 16-node × 4-map-slot cluster and
+/// checks that each one ends in an error `expected` accepts. The jobs run
+/// on their own thread under a watchdog, so a worker that parks for good
+/// fails the test instead of hanging it.
+fn failing_jobs_error_out<M, R>(
+    label: &'static str,
+    jobs: usize,
+    job: fn(Vec<String>) -> JobSpec<M, R>,
+    expected: fn(&MrError) -> bool,
+) where
+    M: Mapper<KIn = u64, VIn = String>,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let mut cfg = ClusterConfig::with_nodes(16);
+        cfg.node.map_slots = 4;
+        let cluster = Cluster::new(cfg);
+        let lines: Vec<(u64, String)> =
+            (0..64u64).map(|i| (i, format!("w{} w{}", i % 5, i % 3))).collect();
+        let inputs = write_sharded(&cluster, "in", 16, lines).unwrap();
+        let engine = Engine::new(&cluster);
+        for _ in 0..jobs {
+            match engine.run(job(inputs.clone())) {
+                Err(e) if expected(&e) => {}
+                other => {
+                    let _ = done.send(Err(format!("{other:?}")));
+                    return;
+                }
+            }
+        }
+        let _ = done.send(Ok(()));
+    });
+    // A hung job thread is left detached: it can never be joined.
+    match finished.recv_timeout(std::time::Duration::from_secs(120)) {
+        Ok(Ok(())) | Err(RecvTimeoutError::Disconnected) => {
+            worker.join().expect("job thread panicked")
+        }
+        Ok(Err(got)) => panic!("{label}: unexpected job result {got}"),
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{label}: a job hung (watchdog fired after 120 s)")
+        }
+    }
+}
+
+#[test]
+fn failing_and_panicking_user_code_errors_out_without_hanging() {
+    // A sibling's error wakes every parked worker exactly once; a worker
+    // that reads the error flag before snapshotting the wake epoch can miss
+    // that wake and park forever, so thousands of jobs are run to hit the
+    // window. A panic in user code must take the same error path; a panic
+    // that escapes it leaves the first job's siblings parked, so a few
+    // hundred jobs suffice.
+    failing_jobs_error_out(
+        "failing mapper",
+        3000,
+        |inputs| {
+            JobSpec::new("fail-map", inputs, "out", FailingMapper { panics: false }, SumReducer, 16)
+        },
+        |e| matches!(e, MrError::User(m) if m.starts_with("mapper failed")),
+    );
+    failing_jobs_error_out(
+        "failing reducer",
+        3000,
+        |inputs| JobSpec::new("fail-reduce", inputs, "out", TokenizeMapper, FailingReducer, 16),
+        |e| matches!(e, MrError::User(m) if m.starts_with("reducer failed")),
+    );
+    failing_jobs_error_out(
+        "panicking mapper",
+        200,
+        |inputs| {
+            JobSpec::new("panic-map", inputs, "out", FailingMapper { panics: true }, SumReducer, 16)
+        },
+        |e| matches!(e, MrError::User(m) if m.contains("panicked: mapper panicked on line")),
+    );
 }
